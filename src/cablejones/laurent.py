@@ -2,24 +2,37 @@
 
 All link invariants in this package are integer Laurent polynomials in a
 single variable A, with q = A^4.  A polynomial is stored densely as a
-minimum exponent ``val`` plus a tuple of coefficients, lowest degree first.
-Coefficients are Python ints, so nothing ever overflows; the zero
-polynomial is the empty tuple with ``val = 0``.
+minimum exponent ``val`` plus a 1-D numpy array ``coeffs`` of coefficients,
+lowest degree first, with no zero at either end; the zero polynomial is the
+empty array with ``val = 0``.  The array is read-only, so polynomials can
+share it.
+
+Coefficients are machine words (``dtype=np.int64``) when they fit and Python
+ints in a ``dtype=object`` array otherwise, so nothing ever overflows.  Each
+polynomial carries a proved upper bound on its largest |coefficient|, and
+each operation derives the bound of every intermediate it forms from the
+bounds of its operands: a sum adds them, a product multiplies them by the
+shorter length, a derivative by the largest |exponent|.  An operation runs
+in int64 only when that bound is below 2^62; otherwise it runs on Python
+ints, and its result drops back to int64 when its exact maximum fits.  The
+dtype is therefore a function of the value: int64 exactly when every
+|coefficient| is below 2^62.
 
 Cabling produces polynomials whose supports are nearly contiguous on a
 step-4 lattice, so the dense form wins over a sparse map.  Bulk sums of
-many shifted polynomials go through :class:`PolyAccumulator`, which works
-on a numpy object array (exact int arithmetic, vectorized slice adds).
+many shifted polynomials go through :class:`PolyAccumulator`, one
+vectorized slice add per term.
 
-Evaluation at the root of unity A0 = exp(i*pi/2N) first reduces every
-exponent mod 4N and accumulates exact integer sums per residue class, so
-polynomials of huge degree lose no precision before the single final pass
-of at most 4N complex multiply-adds.
+Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
+coefficients exactly per residue class of the exponent mod 4N, so
+polynomials of huge degree lose no precision before the single final dot
+product with the powers of A0.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -35,9 +48,17 @@ __all__ = [
     "quantum_integer",
 ]
 
-# Spans at or below this stay on plain-list code paths; larger ones use the
-# numpy object-array kernels.
-_NP_SPAN = 4096
+# Every int64 intermediate is proved to stay below this in absolute value;
+# coefficients at or above it live in dtype=object arrays.
+_INT64_BOUND = 1 << 62
+
+# Trimming scans this many entries at a time inward from each end.
+_SCAN = 4096
+
+# A product takes the shifted-add path when its convolution would cost more
+# multiply-adds than one slice add per nonzero term, with the Python
+# overhead of a term counted as this many multiply-adds.
+_TERM_COST = 2048
 
 
 class NotDivisible(ArithmeticError):
@@ -47,6 +68,15 @@ class NotDivisible(ArithmeticError):
     sums, normalization), so this error signals either a caller bug or a
     violated invariant, never a rounding problem.
     """
+
+
+@functools.lru_cache(maxsize=64)
+def _doubled_powers(n: int) -> np.ndarray:
+    one_period = np.array([cmath.exp(1j * math.pi * k / (2 * n)) for k in range(4 * n)],
+                          dtype=np.complex128)
+    out = np.concatenate([one_period, one_period])
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -70,16 +100,91 @@ class RootOfUnityPoint:
     def a0(self) -> complex:
         return cmath.exp(1j * math.pi / (2 * self.N))
 
-    def powers(self) -> list[complex]:
-        """All powers A0^k for k = 0..4N-1, each computed from its own angle."""
-        n = self.N
-        return [cmath.exp(1j * math.pi * k / (2 * n)) for k in range(4 * n)]
+    def powers(self) -> np.ndarray:
+        """A0^k for k = 0..8N-1, each computed from its own angle.
+
+        Two full periods, so the powers of any 4N consecutive exponents form
+        one slice.  Built once per N and shared, hence read-only.
+        """
+        return _doubled_powers(self.N)
+
+
+def _dtype(bound: int):
+    """The dtype in which values bounded by `bound` are computed."""
+    return np.int64 if bound < _INT64_BOUND else object
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    """Exact max |c| over a nonempty array, as a Python int."""
+    return max(-int(arr.min()), int(arr.max()))
+
+
+def _nonzero_range(arr: np.ndarray) -> tuple[int, int]:
+    """(lo, hi) such that arr[lo:hi] runs from the first to the last nonzero.
+
+    Scans windows inward from each end; sums of cable terms carry nonzero
+    extreme terms, so a wide array is normally touched in two windows.
+    """
+    n = len(arr)
+    if n and arr[0] and arr[-1]:
+        return 0, n
+    lo = 0
+    while lo < n:
+        nz = arr[lo: lo + _SCAN].nonzero()[0]
+        if len(nz):
+            if lo + _SCAN >= n:
+                return lo + int(nz[0]), lo + int(nz[-1]) + 1
+            lo += int(nz[0])
+            break
+        lo += _SCAN
+    else:
+        return 0, 0
+    hi = n
+    while True:
+        start = max(lo, hi - _SCAN)
+        nz = arr[start: hi].nonzero()[0]
+        if len(nz):
+            return lo, start + int(nz[-1]) + 1
+        hi = start
+
+
+def _wrap(val: int, arr: np.ndarray, bound: int) -> "LaurentPoly":
+    """A polynomial on `arr`, already trimmed and in its canonical dtype."""
+    p = object.__new__(LaurentPoly)
+    arr.setflags(write=False)
+    p.val = val
+    p.coeffs = arr
+    p._bound = bound
+    return p
+
+
+def _make(val: int, arr: np.ndarray, bound: int | None = None) -> "LaurentPoly":
+    """The polynomial sum(arr[i] A^(val+i)), trimmed and in canonical dtype.
+
+    ``bound`` is a proved upper bound on max|arr|.  When it is missing or does
+    not show that the coefficients fit int64, the exact maximum is computed
+    and decides the dtype.  The result may share memory with `arr`.
+    """
+    lo, hi = _nonzero_range(arr)
+    if lo == hi:
+        return LaurentPoly.zero()
+    arr = arr[lo:hi]
+    if bound is None or bound >= _INT64_BOUND:
+        bound = _max_abs(arr)
+        dtype = _dtype(bound)
+        if arr.dtype != dtype:
+            arr = arr.astype(dtype)
+    return _wrap(val + lo, arr, bound)
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.setflags(write=False)
 
 
 class LaurentPoly:
     """An integer Laurent polynomial, dense coefficients plus an offset.
 
-    ``coeffs[i]`` is the coefficient of A^(val + i); the stored tuple never
+    ``coeffs[i]`` is the coefficient of A^(val + i); the stored array never
     has a zero first or last entry.  Equality is exponent-by-exponent.
 
     >>> LaurentPoly(-2, (1, 0, 3, 0, -1))
@@ -88,39 +193,26 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("val", "coeffs", "_arr")
+    # _bound >= max |coeffs|, proved by the operation that built the value.
+    __slots__ = ("val", "coeffs", "_bound")
 
     def __init__(self, val: int, coeffs: Sequence[int]):
-        lo, hi = 0, len(coeffs)
-        while lo < hi and not coeffs[lo]:
-            lo += 1
-            val += 1
-        while lo < hi and not coeffs[hi - 1]:
-            hi -= 1
-        if lo == hi:
-            self.val = 0
-            self.coeffs = ()
-        else:
-            self.val = val
-            self.coeffs = tuple(coeffs[lo:hi])
-        self._arr = None
-
-    def _object_array(self) -> np.ndarray:
-        # Cached numpy copy of the coefficients; not part of the value, and
-        # idempotent under racing writers, so sharing stays coordination-free.
-        if self._arr is None:
-            self._arr = np.array(self.coeffs, dtype=object)
-        return self._arr
+        try:
+            arr = np.array(coeffs, dtype=np.int64)
+        except OverflowError:
+            arr = np.array(coeffs, dtype=object)
+        p = _make(val, arr)
+        self.val, self.coeffs, self._bound = p.val, p.coeffs, p._bound
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly(0, ())
+        return _wrap(0, _EMPTY, 0)
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly(0, (1,))
+        return _wrap(0, np.ones(1, dtype=np.int64), 1)
 
     @staticmethod
     def monomial(coeff: int, exponent: int) -> "LaurentPoly":
@@ -129,57 +221,62 @@ class LaurentPoly:
     @staticmethod
     def from_terms(terms: Iterable[tuple[int, int]]) -> "LaurentPoly":
         """Build from (exponent, coefficient) pairs; repeats accumulate."""
-        terms = [(e, c) for e, c in terms if c]
-        if not terms:
-            return LaurentPoly.zero()
-        lo = min(e for e, _ in terms)
-        hi = max(e for e, _ in terms)
-        out = [0] * (hi - lo + 1)
+        sums: dict[int, int] = {}
         for e, c in terms:
-            out[e - lo] += c
-        return LaurentPoly(lo, out)
+            sums[e] = sums.get(e, 0) + c
+        sums = {e: c for e, c in sums.items() if c}
+        if not sums:
+            return LaurentPoly.zero()
+        lo = min(sums)
+        bound = max(abs(c) for c in sums.values())
+        out = np.zeros(max(sums) - lo + 1, dtype=_dtype(bound))
+        out[np.array([e - lo for e in sums], dtype=np.int64)] = list(sums.values())
+        return _wrap(lo, out, bound)
 
     # -- inspection -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.coeffs)
 
     @property
     def mindeg(self) -> int:
-        if not self.coeffs:
+        if not len(self.coeffs):
             raise ValueError("the zero polynomial has no degree")
         return self.val
 
     @property
     def maxdeg(self) -> int:
-        if not self.coeffs:
+        if not len(self.coeffs):
             raise ValueError("the zero polynomial has no degree")
         return self.val + len(self.coeffs) - 1
 
     def support(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for every nonzero term, ascending."""
         v = self.val
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield v + i, c
+        nz = self.coeffs.nonzero()[0]
+        for i, c in zip(nz.tolist(), self.coeffs[nz].tolist()):
+            yield v + i, c
 
     def num_terms(self) -> int:
-        return sum(1 for c in self.coeffs if c)
+        return int(np.count_nonzero(self.coeffs))
 
     def coefficient(self, exponent: int) -> int:
         i = exponent - self.val
         if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+            return int(self.coeffs[i])
         return 0
 
     def max_abs_coeff(self) -> int:
-        if not self.coeffs:
+        if not len(self.coeffs):
             return 0
-        return max(abs(c) for c in self.coeffs if c)
+        return _max_abs(self.coeffs)
 
     def abs_coeff_sum(self) -> int:
         """Sum of |coefficients|; bounds |P(z)| on the unit circle."""
-        return sum(abs(c) for c in self.coeffs)
+        arr = self.coeffs
+        if len(arr) * self._bound >= _INT64_BOUND:
+            arr = arr.astype(object)
+        return int(np.abs(arr).sum())
 
     # -- ring operations ------------------------------------------------
 
@@ -188,34 +285,37 @@ class LaurentPoly:
             other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.val == other.val and self.coeffs == other.coeffs
+        a, b = self.coeffs, other.coeffs
+        if self.val != other.val or len(a) != len(b) or a.dtype != b.dtype:
+            return False  # the dtype is a function of the value
+        if a.dtype == object:
+            return bool((a == b).all())
+        return a.tobytes() == b.tobytes()
 
     __hash__ = None  # compare by value; not usable as a dict key
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(len(self.coeffs))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.val, tuple(-c for c in self.coeffs))
+        return _wrap(self.val, -self.coeffs, self._bound)
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.coeffs:
+        if not len(self.coeffs):
             return other
-        if not other.coeffs:
+        if not len(other.coeffs):
             return self
         lo = min(self.val, other.val)
         hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
-        out = [0] * (hi - lo)
+        bound = self._bound + other._bound
+        out = np.zeros(hi - lo, dtype=_dtype(bound))
         out[self.val - lo: self.val - lo + len(self.coeffs)] = self.coeffs
-        o = other.val - lo
-        for i, c in enumerate(other.coeffs):
-            if c:
-                out[o + i] += c
-        return LaurentPoly(lo, out)
+        out[other.val - lo: other.val - lo + len(other.coeffs)] += other.coeffs
+        return _make(lo, out, bound)
 
     __radd__ = __add__
 
@@ -231,34 +331,31 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero()
-            if other == 1:
-                return self
-            return LaurentPoly(self.val, tuple(c * other for c in self.coeffs))
+            return self.scale_shift(other, 0)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not len(self.coeffs) or not len(other.coeffs):
             return LaurentPoly.zero()
-        # Schoolbook convolution, driven by the operand with fewer terms.
         a, b = self, other
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
-        span = len(a.coeffs) + len(b.coeffs) - 1
-        if span > _NP_SPAN:
-            acc = PolyAccumulator()
-            for i, c in enumerate(a.coeffs):
-                if c:
-                    acc.add(c, a.val + i, b)
-            return acc.result()
-        out = [0] * span
-        bc = b.coeffs
-        for i, c in enumerate(a.coeffs):
-            if c:
-                for j, d in enumerate(bc):
-                    if d:
-                        out[i + j] += c * d
-        return LaurentPoly(a.val + b.val, out)
+        la, lb = len(a.coeffs), len(b.coeffs)
+        if la * lb <= np.count_nonzero(a.coeffs) * (lb + _TERM_COST):
+            # Dense enough to convolve; every output coefficient sums at most
+            # la products, each bounded by the product of the bounds.  The
+            # extreme products are nonzero, so the result needs no trimming.
+            bound = la * a._bound * b._bound
+            dtype = _dtype(bound)
+            out = np.convolve(a.coeffs.astype(dtype, copy=False),
+                              b.coeffs.astype(dtype, copy=False))
+            if dtype is np.int64:
+                return _wrap(a.val + b.val, out, bound)
+            return _make(a.val + b.val, out)
+        nz = a.coeffs.nonzero()[0]
+        acc = PolyAccumulator()
+        for i, c in zip(nz.tolist(), a.coeffs[nz].tolist()):
+            acc.add(c, a.val + i, b)
+        return acc.result()
 
     __rmul__ = __mul__
 
@@ -276,21 +373,22 @@ class LaurentPoly:
         return result
 
     def scale_shift(self, coeff: int, shift: int) -> "LaurentPoly":
-        """coeff * A^shift * self; shares the coefficient tuple when coeff = 1."""
-        if coeff == 0 or not self.coeffs:
+        """coeff * A^shift * self; shares the coefficient array when coeff = 1."""
+        if coeff == 0 or not len(self.coeffs):
             return LaurentPoly.zero()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.val = self.val + shift
-        out.coeffs = self.coeffs if coeff == 1 else tuple(c * coeff for c in self.coeffs)
-        out._arr = self._arr if coeff == 1 else None
-        return out
+        if coeff == 1:
+            return _wrap(self.val + shift, self.coeffs, self._bound)
+        bound = abs(int(coeff)) * self._bound
+        if bound < _INT64_BOUND:
+            return _wrap(self.val + shift, self.coeffs * coeff, bound)
+        return _make(self.val + shift, self.coeffs.astype(object) * coeff)
 
     def exact_divide(self, b: "LaurentPoly") -> "LaurentPoly":
         """Return q with self = q * b exactly, else raise NotDivisible.
 
-        Long division against the top term of b; every intermediate
-        coefficient quotient must be an exact integer and the remainder
-        must vanish.
+        Long division against the top term of b, on Python ints; every
+        intermediate coefficient quotient must be an exact integer and the
+        remainder must vanish.
 
         >>> (quantum_integer(3) + 1).exact_divide(quantum_integer(2))
         LaurentPoly('A^2 + A^-2')
@@ -302,8 +400,8 @@ class LaurentPoly:
         nb = len(b.coeffs)
         if len(self.coeffs) < nb:
             raise NotDivisible("degree span smaller than the divisor's")
-        rem = list(self.coeffs)
-        bc = b.coeffs
+        rem = self.coeffs.tolist()
+        bc = b.coeffs.tolist()
         btop = bc[-1]
         q = [0] * (len(rem) - nb + 1)
         for k in range(len(rem) - 1, nb - 2, -1):
@@ -321,54 +419,57 @@ class LaurentPoly:
                     rem[pos + j] -= cq * d
         if any(rem):
             raise NotDivisible("nonzero remainder")
-        return LaurentPoly(self.val - b.val, q)
+        # q has nonzero ends: times the ends of b they give the ends of self.
+        bound = max(max(q), -min(q))
+        return _wrap(self.val - b.val, np.array(q, dtype=_dtype(bound)), bound)
 
     def derivative(self) -> "LaurentPoly":
         """d/dA, termwise: c*A^k -> c*k*A^(k-1)."""
         n = len(self.coeffs)
         if n == 0:
             return self
-        if n > _NP_SPAN:
-            arr = self._object_array() * np.arange(self.val, self.val + n, dtype=object)
-            return LaurentPoly(self.val - 1, arr.tolist())
         v = self.val
-        return LaurentPoly(v - 1, [c * (v + i) for i, c in enumerate(self.coeffs)])
+        bound = self._bound * max(abs(v), abs(v + n - 1))
+        dtype = _dtype(bound)
+        exponents = np.arange(v, v + n, dtype=dtype)
+        return _make(v - 1, self.coeffs.astype(dtype, copy=False) * exponents, bound)
 
     def mirror(self) -> "LaurentPoly":
         """Substitute A -> A^(-1): the coefficient of A^k moves to A^(-k)."""
-        if not self.coeffs:
+        if not len(self.coeffs):
             return self
-        return LaurentPoly(-(self.val + len(self.coeffs) - 1), self.coeffs[::-1])
+        return _wrap(-self.maxdeg, self.coeffs[::-1], self._bound)
 
     def eval_at_root(self, pt: RootOfUnityPoint) -> complex:
         """Evaluate at A0 = exp(i*pi/2N) by exact residue-class reduction.
 
-        Exponents are reduced mod 4N and summed exactly per residue class
-        before any floating-point work, so exponent magnitude never costs
-        precision; the final pass is at most 4N complex multiply-adds.
+        The coefficients are summed exactly per residue class of the
+        exponent mod 4N before any floating-point work, so exponent
+        magnitude never costs precision; one dot product with the powers of
+        A0 finishes.
         """
-        order = pt.order
-        n = len(self.coeffs)
-        sums = [0] * order
-        if n > _NP_SPAN:
-            arr = self._object_array()
-            idx = np.nonzero(arr)[0]
-            if len(idx):
-                res = (idx + self.val) % order
-                sarr = np.zeros(order, dtype=object)
-                np.add.at(sarr, res, arr[idx])
-                sums = sarr.tolist()
-        else:
-            v = self.val
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    sums[(v + i) % order] += c
+        start, sums = self._residue_sums(pt.order)
         powers = pt.powers()
-        total = 0j
-        for k, s in enumerate(sums):
-            if s:
-                total += float(s) * powers[k]
-        return total
+        return complex(np.dot(sums, powers[start: start + len(sums)]))
+
+    def _residue_sums(self, order: int) -> tuple[int, np.ndarray]:
+        """(start, sums): sums[j] is the exact sum of the coefficients whose
+        exponent is congruent to start + j mod `order`; len(sums) <= order.
+
+        The array is folded into rows of `order` columns and summed down the
+        columns.
+        """
+        arr = self.coeffs
+        rows, tail = divmod(len(arr), order)
+        # A column sums at most rows + 1 coefficients.
+        if (rows + 1) * self._bound >= _INT64_BOUND:
+            arr = arr.astype(object)
+        if rows:
+            sums = arr[: rows * order].reshape(rows, order).sum(axis=0)
+            sums[:tail] += arr[rows * order:]
+        else:
+            sums = arr
+        return self.val % order, sums
 
     # -- serialization --------------------------------------------------
 
@@ -385,7 +486,7 @@ class LaurentPoly:
         return LaurentPoly.from_terms((int(e), int(c)) for e, c in data["terms"])
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not len(self.coeffs):
             return "0"
         parts = []
         for e, c in reversed(list(self.support())):
@@ -421,33 +522,37 @@ def quantum_integer(n: int) -> LaurentPoly:
         return LaurentPoly.zero()
     sign = 1 if n > 0 else -1
     n = abs(n)
-    coeffs = [0] * (4 * (n - 1) + 1)
-    coeffs[::4] = [sign] * n
-    return LaurentPoly(-2 * (n - 1), coeffs)
+    coeffs = np.zeros(4 * (n - 1) + 1, dtype=np.int64)
+    coeffs[::4] = sign
+    return _wrap(-2 * (n - 1), coeffs, 1)
 
 
 class PolyAccumulator:
-    """Streaming sum of terms coeff * A^shift * poly on a dense object buffer.
+    """Streaming sum of terms coeff * A^shift * poly on a dense buffer.
 
     The buffer grows geometrically as terms arrive, so a long cabling sum
     costs one vectorized slice add per term and never holds more than the
-    running total plus the current term.
+    running total plus the current term.  It stays int64 while the running
+    bound sum(|coeff| * bound(poly)) is below 2^62 and moves to Python ints
+    once that bound is crossed.
     """
 
-    __slots__ = ("_buf", "_lo")
+    __slots__ = ("_buf", "_lo", "_bound")
 
     def __init__(self):
         self._buf = None
         self._lo = 0
+        self._bound = 0
 
     def _ensure(self, lo: int, hi: int):
         if self._buf is None:
             margin = max(16, (hi - lo) // 4)
             self._lo = lo - margin
-            self._buf = np.zeros(hi - lo + 2 * margin, dtype=object)
+            self._buf = np.zeros(hi - lo + 2 * margin, dtype=_dtype(self._bound))
             return
         cur_hi = self._lo + len(self._buf)
-        if lo >= self._lo and hi <= cur_hi:
+        # A read-only buffer is shared with an earlier result: copy it first.
+        if lo >= self._lo and hi <= cur_hi and self._buf.flags.writeable:
             return
         new_lo = min(lo, self._lo)
         new_hi = max(hi, cur_hi)
@@ -456,7 +561,7 @@ class PolyAccumulator:
             new_lo -= margin
         if hi > cur_hi:
             new_hi += margin
-        grown = np.zeros(new_hi - new_lo, dtype=object)
+        grown = np.zeros(new_hi - new_lo, dtype=self._buf.dtype)
         off = self._lo - new_lo
         grown[off: off + len(self._buf)] = self._buf
         self._buf = grown
@@ -470,73 +575,28 @@ class PolyAccumulator:
     def add(self, coeff: int, shift: int, poly: LaurentPoly):
         if coeff == 0 or poly.is_zero():
             return
+        self._bound += abs(int(coeff)) * poly._bound
         lo = shift + poly.val
         n = len(poly.coeffs)
         self._ensure(lo, lo + n)
+        if self._buf.dtype != object and self._bound >= _INT64_BOUND:
+            self._buf = self._buf.astype(object)
         o = lo - self._lo
-        arr = poly._object_array()
+        arr = poly.coeffs
         view = self._buf[o: o + n]
         if coeff == 1:
             view += arr
         elif coeff == -1:
             view -= arr
         else:
-            view += arr * coeff
+            view += arr.astype(self._buf.dtype, copy=False) * coeff
 
     def result(self) -> LaurentPoly:
         if self._buf is None:
             return LaurentPoly.zero()
-        # Trim by scanning windows inward from each end; cable sums carry
-        # nonzero extreme terms, so this normally touches two windows.
-        buf = self._buf
-        n = len(buf)
-        lo = 0
-        while lo < n:
-            step = min(4096, n - lo)
-            nz = np.nonzero(buf[lo: lo + step])[0]
-            if len(nz):
-                lo += int(nz[0])
-                break
-            lo += step
-        if lo == n:
-            return LaurentPoly.zero()
-        hi = n
-        while hi > lo:
-            step = min(4096, hi - lo)
-            nz = np.nonzero(buf[hi - step: hi])[0]
-            if len(nz):
-                hi -= step - int(nz[-1]) - 1
-                break
-            hi -= step
-        return LaurentPoly(self._lo + lo, buf[lo:hi].tolist())
-
-
-def _divide_by_binomial(coeffs: Sequence[int], K: int) -> list[int]:
-    """Divide the dense polynomial by x^K - 1; raise NotDivisible on remainder.
-
-    The quotient satisfies num[i] = q[i-K] - q[i], so q unrolls in one
-    ascending pass; the top K recovered values double as the remainder check.
-    """
-    L = len(coeffs)
-    if L <= K:
-        raise NotDivisible("degree span smaller than the divisor's")
-    qlen = L - K
-    if L > _NP_SPAN:
-        pad = (-L) % K
-        arr = np.concatenate([np.array(coeffs, dtype=object),
-                              np.zeros(pad, dtype=object)])
-        rows = arr.reshape(-1, K)
-        q = (-np.cumsum(rows, axis=0)).reshape(-1)
-        if np.any(q[qlen:L] != 0):
-            raise NotDivisible("nonzero remainder")
-        return q[:qlen].tolist()
-    q = [0] * L
-    for i in range(L):
-        prev = q[i - K] if i >= K else 0
-        q[i] = prev - coeffs[i]
-    if any(q[qlen:]):
-        raise NotDivisible("nonzero remainder")
-    return q[:qlen]
+        # The result shares the buffer, so a later add works on a copy.
+        self._buf.flags.writeable = False
+        return _make(self._lo, self._buf, self._bound)
 
 
 def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
@@ -551,10 +611,28 @@ def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
         raise ValueError("divisor color must be >= 1")
     if n == 1 or a.is_zero():
         return a
-    num = a.scale_shift(1, 2) - a.scale_shift(1, -2)
-    q = _divide_by_binomial(num.coeffs, 4 * n)
-    # num / (A^(2n) - A^(-2n)) = num / (A^(-2n) (A^(4n) - 1))
-    return LaurentPoly(num.val + 2 * n, q)
+    # num = a * (A^2 - A^-2) starts at A^(val - 2).  Dividing it by
+    # A^(-2n) (A^(4n) - 1) unrolls q[i] = q[i - 4n] - num[i] in one
+    # ascending pass: q is minus the running sums down each of 4n columns,
+    # and its top 4n entries are the remainder.
+    width = 4 * n
+    span = len(a.coeffs) + 4
+    if span <= width:
+        raise NotDivisible("degree span smaller than the divisor's")
+    rows = -(-span // width)
+    # A running sum adds at most `rows` entries of num, each at most 2 bound(a).
+    bound = rows * 2 * a._bound
+    buf = np.zeros(rows * width, dtype=_dtype(bound))
+    buf[4:span] = a.coeffs
+    buf[:span - 4] -= a.coeffs
+    grid = buf.reshape(rows, width)
+    np.cumsum(grid, axis=0, out=grid)
+    qlen = span - width
+    if buf[qlen:span].any():
+        raise NotDivisible("nonzero remainder")
+    q = buf[:qlen]
+    np.negative(q, out=q)
+    return _make(a.val - 2 + 2 * n, q, bound)
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ class TestArithmetic:
         assert LaurentPoly(0, [0, 0, 1, 0, 0]) == LaurentPoly(2, [1])
         assert LaurentPoly(5, [0, 0]).is_zero()
         z = LaurentPoly.zero()
-        assert z.val == 0 and z.coeffs == ()
+        assert z.val == 0 and len(z.coeffs) == 0
 
     def test_zero_degree_undefined(self):
         with pytest.raises(ValueError):
