@@ -14,6 +14,7 @@ from .asympt import (
     GrowthRecord,
     InsufficientData,
     ModerationReport,
+    VanishingInvariant,
     eval_normalized_at_root,
     growth_table,
     lhospital_limit,

@@ -39,6 +39,7 @@ __all__ = [
     "InsufficientData",
     "ModerationReport",
     "VANISH_TOL",
+    "VanishingInvariant",
     "eval_normalized_at_root",
     "growth_table",
     "lhospital_limit",
@@ -62,6 +63,11 @@ class DepthExceeded(ArithmeticError):
 
 class InsufficientData(ValueError):
     """Too few growth records to fit anything."""
+
+
+class VanishingInvariant(ArithmeticError):
+    """The colored Jones polynomial came out identically zero, so a growth
+    record has no degrees, coefficients or decay rate to report."""
 
 
 def _vanishes(p: LaurentPoly, value: complex, tol: float) -> bool:
@@ -154,7 +160,7 @@ def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
     colors = (n,) * component_count(e)
     J = colored_jones(e, colors, {})
     if J.is_zero():
-        raise ValueError(f"invariant vanishes identically at N={n}")
+        raise VanishingInvariant(f"invariant vanishes identically at N={n}")
     value = _normalized_value(J, n, split_mult, RootOfUnityPoint(n))
     abs_eval = abs(value)
     vc = (2 * math.pi / n) * math.log(abs_eval) if abs_eval > 0 else None

@@ -216,7 +216,7 @@ def equal_up_to_monomial(p: LaurentPoly, q: LaurentPoly) -> MonomialMatch | None
         raise ValueError("both polynomials must be nonzero")
     for mirrored in (False, True):
         qc = q.mirror() if mirrored else q
-        if len(p.coeffs) != len(qc.coeffs):
+        if p.maxdeg - p.mindeg != qc.maxdeg - qc.mindeg:
             continue
         top_p = p.coeffs[-1]
         top_q = qc.coeffs[-1]

@@ -40,6 +40,7 @@ _COMPUTE_ERRORS = (
     asympt.DivergentLimit,
     asympt.DepthExceeded,
     asympt.InsufficientData,
+    asympt.VanishingInvariant,
     bracket.TooManyCrossings,
 )
 

@@ -24,9 +24,10 @@ The engine evaluates the expression tree recursively:
     nonzero remainder aborts loudly rather than being patched over.
 
 Results are memoized per computation on (subtree, color vector); values
-whose dense span exceeds MEMO_SPAN_LIMIT are recomputed on a repeat query
-instead of being cached, which keeps iterated-cabling sweeps from pinning
-hundreds of megabytes of intermediate polynomials.
+whose exponent span maxdeg - mindeg + 1 exceeds MEMO_SPAN_LIMIT, whatever
+their stored length, are recomputed on a repeat query instead of being
+cached, which keeps iterated-cabling sweeps from pinning hundreds of
+megabytes of intermediate polynomials.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _jones(e: LinkExpr, colors: tuple[int, ...], memo: dict) -> LaurentPoly:
     else:
         raise TypeError(f"not a link expression: {e!r}")
 
-    if len(result.coeffs) <= MEMO_SPAN_LIMIT:
+    if result.is_zero() or result.maxdeg - result.mindeg + 1 <= MEMO_SPAN_LIMIT:
         memo[key] = result
     return result
 
@@ -176,7 +177,7 @@ def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> LaurentPoly:
             first = False
             shifts = [rg * mm * (mm * p + 2) for mm in order]
             acc.hint_bounds(min(shifts) + child.val,
-                            max(shifts) + child.val + len(child.coeffs))
+                            max(shifts) + child.maxdeg + 1)
         acc.add(sign * c, shift, child)
     return acc.result()
 

@@ -1,11 +1,11 @@
 """Exact Laurent polynomial arithmetic in the variable A = q^(1/4).
 
 All link invariants in this package are integer Laurent polynomials in a
-single variable A, with q = A^4.  A polynomial is stored densely as a
-minimum exponent ``val`` plus a 1-D numpy array ``coeffs`` of coefficients,
-lowest degree first, with no zero at either end; the zero polynomial is the
-empty array with ``val = 0``.  The array is read-only, so polynomials can
-share it.
+single variable A, with q = A^4.  A polynomial is stored on an exponent
+lattice: a minimum exponent ``val``, a ``step`` >= 1 and a 1-D numpy array
+``coeffs`` in which ``coeffs[i]`` is the coefficient of A^(val + step*i),
+with no zero at either end; the zero polynomial is the empty array with
+``val = 0``.  The array is read-only, so polynomials can share it.
 
 Coefficients are machine words (``dtype=np.int64``) when they fit and Python
 ints in a ``dtype=object`` array otherwise, so nothing ever overflows.  Each
@@ -18,10 +18,16 @@ ints, and its result drops back to int64 when its exact maximum fits.  The
 dtype is therefore a function of the value: int64 exactly when every
 |coefficient| is below 2^62.
 
-Cabling produces polynomials whose supports are nearly contiguous on a
-step-4 lattice, so the dense form wins over a sparse map.  Bulk sums of
-many shifted polynomials go through :class:`PolyAccumulator`, one
-vectorized slice add per term.
+The step is a lattice that contains the support, not necessarily the
+coarsest one: each operation derives the step of its result from the steps
+of its operands (a gcd), never by scanning coefficients, and a polynomial
+with at most one term fits every lattice.  The quantum integer [n] lives on
+step 4, and so does everything the cabling engine builds from it, because
+cabling shifts differ by multiples of 4: the engine stores and adds a
+quarter of the entries a dense array would.  Supports are nearly contiguous
+on their lattice, so this form wins over a sparse map.  Values built from
+explicit terms start on step 1.  Bulk sums of many shifted polynomials go
+through :class:`PolyAccumulator`, one vectorized slice add per term.
 
 Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
 coefficients exactly per residue class of the exponent mod 4N, so
@@ -148,18 +154,20 @@ def _nonzero_range(arr: np.ndarray) -> tuple[int, int]:
         hi = start
 
 
-def _wrap(val: int, arr: np.ndarray, bound: int) -> "LaurentPoly":
+def _wrap(val: int, arr: np.ndarray, bound: int, step: int) -> "LaurentPoly":
     """A polynomial on `arr`, already trimmed and in its canonical dtype."""
     p = object.__new__(LaurentPoly)
     arr.setflags(write=False)
     p.val = val
+    p.step = step
     p.coeffs = arr
     p._bound = bound
     return p
 
 
-def _make(val: int, arr: np.ndarray, bound: int | None = None) -> "LaurentPoly":
-    """The polynomial sum(arr[i] A^(val+i)), trimmed and in canonical dtype.
+def _make(val: int, arr: np.ndarray, bound: int | None = None,
+          step: int = 1) -> "LaurentPoly":
+    """The polynomial sum(arr[i] A^(val+step*i)), trimmed and in canonical dtype.
 
     ``bound`` is a proved upper bound on max|arr|.  When it is missing or does
     not show that the coefficients fit int64, the exact maximum is computed
@@ -174,7 +182,26 @@ def _make(val: int, arr: np.ndarray, bound: int | None = None) -> "LaurentPoly":
         dtype = _dtype(bound)
         if arr.dtype != dtype:
             arr = arr.astype(dtype)
-    return _wrap(val + lo, arr, bound)
+    return _wrap(val + lo * step, arr, bound, step)
+
+
+def _lattice(p: "LaurentPoly") -> int:
+    """p's step for a gcd; 0 when p has at most one term and fits any lattice."""
+    return p.step if len(p.coeffs) > 1 else 0
+
+
+def _spread(arr: np.ndarray, k: int) -> np.ndarray:
+    """arr with k - 1 zeros between neighbours: from step s to step s/k."""
+    if k == 1 or len(arr) <= 1:
+        return arr
+    out = np.zeros((len(arr) - 1) * k + 1, dtype=arr.dtype)
+    out[::k] = arr
+    return out
+
+
+def _on(p: "LaurentPoly", step: int) -> np.ndarray:
+    """p's coefficients on the finer lattice `step`, which divides p's."""
+    return _spread(p.coeffs, p.step // step) if p.step != step else p.coeffs
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -182,10 +209,11 @@ _EMPTY.setflags(write=False)
 
 
 class LaurentPoly:
-    """An integer Laurent polynomial, dense coefficients plus an offset.
+    """An integer Laurent polynomial: coefficients on an exponent lattice.
 
-    ``coeffs[i]`` is the coefficient of A^(val + i); the stored array never
-    has a zero first or last entry.  Equality is exponent-by-exponent.
+    ``coeffs[i]`` is the coefficient of A^(val + step*i); the stored array
+    never has a zero first or last entry.  The constructor stores step 1.
+    Equality is exponent-by-exponent, whatever the steps.
 
     >>> LaurentPoly(-2, (1, 0, 3, 0, -1))
     LaurentPoly('-A^2 + 3 + A^-2')
@@ -194,7 +222,7 @@ class LaurentPoly:
     """
 
     # _bound >= max |coeffs|, proved by the operation that built the value.
-    __slots__ = ("val", "coeffs", "_bound")
+    __slots__ = ("val", "step", "coeffs", "_bound")
 
     def __init__(self, val: int, coeffs: Sequence[int]):
         try:
@@ -202,17 +230,17 @@ class LaurentPoly:
         except OverflowError:
             arr = np.array(coeffs, dtype=object)
         p = _make(val, arr)
-        self.val, self.coeffs, self._bound = p.val, p.coeffs, p._bound
+        self.val, self.step, self.coeffs, self._bound = p.val, p.step, p.coeffs, p._bound
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return _wrap(0, _EMPTY, 0)
+        return _wrap(0, _EMPTY, 0, 1)
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return _wrap(0, np.ones(1, dtype=np.int64), 1)
+        return _wrap(0, np.ones(1, dtype=np.int64), 1, 1)
 
     @staticmethod
     def monomial(coeff: int, exponent: int) -> "LaurentPoly":
@@ -231,7 +259,7 @@ class LaurentPoly:
         bound = max(abs(c) for c in sums.values())
         out = np.zeros(max(sums) - lo + 1, dtype=_dtype(bound))
         out[np.array([e - lo for e in sums], dtype=np.int64)] = list(sums.values())
-        return _wrap(lo, out, bound)
+        return _wrap(lo, out, bound, 1)
 
     # -- inspection -----------------------------------------------------
 
@@ -248,21 +276,21 @@ class LaurentPoly:
     def maxdeg(self) -> int:
         if not len(self.coeffs):
             raise ValueError("the zero polynomial has no degree")
-        return self.val + len(self.coeffs) - 1
+        return self.val + (len(self.coeffs) - 1) * self.step
 
     def support(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for every nonzero term, ascending."""
-        v = self.val
+        v, s = self.val, self.step
         nz = self.coeffs.nonzero()[0]
         for i, c in zip(nz.tolist(), self.coeffs[nz].tolist()):
-            yield v + i, c
+            yield v + s * i, c
 
     def num_terms(self) -> int:
         return int(np.count_nonzero(self.coeffs))
 
     def coefficient(self, exponent: int) -> int:
-        i = exponent - self.val
-        if 0 <= i < len(self.coeffs):
+        i, off = divmod(exponent - self.val, self.step)
+        if not off and 0 <= i < len(self.coeffs):
             return int(self.coeffs[i])
         return 0
 
@@ -286,7 +314,15 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if self.val != other.val or len(a) != len(b) or a.dtype != b.dtype:
+        if self.step != other.step and len(a) > 1 and len(b) > 1:
+            # Neither step need be the coarsest lattice of the support, so
+            # compare the ends, then both arrays on the common finer lattice.
+            if (self.val != other.val or self.maxdeg != other.maxdeg
+                    or a.dtype != b.dtype):
+                return False
+            g = math.gcd(self.step, other.step)
+            a, b = _on(self, g), _on(other, g)
+        elif self.val != other.val or len(a) != len(b) or a.dtype != b.dtype:
             return False  # the dtype is a function of the value
         if a.dtype == object:
             return bool((a == b).all())
@@ -298,7 +334,7 @@ class LaurentPoly:
         return bool(len(self.coeffs))
 
     def __neg__(self) -> "LaurentPoly":
-        return _wrap(self.val, -self.coeffs, self._bound)
+        return _wrap(self.val, -self.coeffs, self._bound, self.step)
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -309,13 +345,19 @@ class LaurentPoly:
             return other
         if not len(other.coeffs):
             return self
-        lo = min(self.val, other.val)
-        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        va, vb = self.val, other.val
+        s = self.step
+        if other.step != s or (vb - va) % s:
+            s = math.gcd(_lattice(self), _lattice(other), vb - va) or s
+            a, b = _on(self, s), _on(other, s)
+        lo = min(va, vb)
+        i, j = (va - lo) // s, (vb - lo) // s
         bound = self._bound + other._bound
-        out = np.zeros(hi - lo, dtype=_dtype(bound))
-        out[self.val - lo: self.val - lo + len(self.coeffs)] = self.coeffs
-        out[other.val - lo: other.val - lo + len(other.coeffs)] += other.coeffs
-        return _make(lo, out, bound)
+        out = np.zeros(max(i + len(a), j + len(b)), dtype=_dtype(bound))
+        out[i: i + len(a)] = a
+        out[j: j + len(b)] += b
+        return _make(lo, out, bound, s)
 
     __radd__ = __add__
 
@@ -341,20 +383,26 @@ class LaurentPoly:
             a, b = b, a
         la, lb = len(a.coeffs), len(b.coeffs)
         if la * lb <= np.count_nonzero(a.coeffs) * (lb + _TERM_COST):
-            # Dense enough to convolve; every output coefficient sums at most
-            # la products, each bounded by the product of the bounds.  The
-            # extreme products are nonzero, so the result needs no trimming.
+            # Dense enough to convolve, on the lattice gcd(step_a, step_b).
+            # Every output coefficient sums at most la products, each
+            # bounded by the product of the bounds.  The extreme products
+            # are nonzero, so the result needs no trimming.
+            s = a.step
+            x, y = a.coeffs, b.coeffs
+            if b.step != s:
+                s = math.gcd(_lattice(a), _lattice(b)) or s
+                x, y = _on(a, s), _on(b, s)
+                la = min(len(x), len(y))
             bound = la * a._bound * b._bound
-            dtype = _dtype(bound)
-            out = np.convolve(a.coeffs.astype(dtype, copy=False),
-                              b.coeffs.astype(dtype, copy=False))
-            if dtype is np.int64:
-                return _wrap(a.val + b.val, out, bound)
-            return _make(a.val + b.val, out)
+            if bound < _INT64_BOUND:
+                return _wrap(a.val + b.val, np.convolve(x, y), bound, s)
+            # One object operand makes numpy convolve on Python ints.
+            return _make(a.val + b.val, np.convolve(x.astype(object), y), step=s)
         nz = a.coeffs.nonzero()[0]
         acc = PolyAccumulator()
+        acc.hint_bounds(a.val + b.val, a.maxdeg + b.maxdeg + 1)
         for i, c in zip(nz.tolist(), a.coeffs[nz].tolist()):
-            acc.add(c, a.val + i, b)
+            acc.add(c, a.val + a.step * i, b)
         return acc.result()
 
     __rmul__ = __mul__
@@ -377,18 +425,19 @@ class LaurentPoly:
         if coeff == 0 or not len(self.coeffs):
             return LaurentPoly.zero()
         if coeff == 1:
-            return _wrap(self.val + shift, self.coeffs, self._bound)
+            return _wrap(self.val + shift, self.coeffs, self._bound, self.step)
         bound = abs(int(coeff)) * self._bound
         if bound < _INT64_BOUND:
-            return _wrap(self.val + shift, self.coeffs * coeff, bound)
-        return _make(self.val + shift, self.coeffs.astype(object) * coeff)
+            return _wrap(self.val + shift, self.coeffs * coeff, bound, self.step)
+        return _make(self.val + shift, self.coeffs.astype(object) * coeff, step=self.step)
 
     def exact_divide(self, b: "LaurentPoly") -> "LaurentPoly":
         """Return q with self = q * b exactly, else raise NotDivisible.
 
-        Long division against the top term of b, on Python ints; every
-        intermediate coefficient quotient must be an exact integer and the
-        remainder must vanish.
+        Long division against the top term of b, on Python ints and on the
+        lattice gcd(step_self, step_b), which holds q whenever q exists;
+        every intermediate coefficient quotient must be an exact integer and
+        the remainder must vanish.
 
         >>> (quantum_integer(3) + 1).exact_divide(quantum_integer(2))
         LaurentPoly('A^2 + A^-2')
@@ -397,12 +446,18 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        nb = len(b.coeffs)
-        if len(self.coeffs) < nb:
+        s = self.step
+        x, y = self.coeffs, b.coeffs
+        if b.step != s:
+            s = math.gcd(_lattice(self), _lattice(b)) or s
+            x, y = _on(self, s), _on(b, s)
+        nb = len(y)
+        if len(x) < nb:
             raise NotDivisible("degree span smaller than the divisor's")
-        rem = self.coeffs.tolist()
-        bc = b.coeffs.tolist()
-        btop = bc[-1]
+        rem = x.tolist()
+        btop = int(y[-1])
+        nz = y.nonzero()[0]
+        terms = list(zip(nz.tolist(), y[nz].tolist()))
         q = [0] * (len(rem) - nb + 1)
         for k in range(len(rem) - 1, nb - 2, -1):
             c = rem[k]
@@ -413,32 +468,30 @@ class LaurentPoly:
                 raise NotDivisible("leading coefficient does not divide")
             pos = k - (nb - 1)
             q[pos] = cq
-            for j in range(nb):
-                d = bc[j]
-                if d:
-                    rem[pos + j] -= cq * d
+            for j, d in terms:
+                rem[pos + j] -= cq * d
         if any(rem):
             raise NotDivisible("nonzero remainder")
         # q has nonzero ends: times the ends of b they give the ends of self.
         bound = max(max(q), -min(q))
-        return _wrap(self.val - b.val, np.array(q, dtype=_dtype(bound)), bound)
+        return _wrap(self.val - b.val, np.array(q, dtype=_dtype(bound)), bound, s)
 
     def derivative(self) -> "LaurentPoly":
         """d/dA, termwise: c*A^k -> c*k*A^(k-1)."""
         n = len(self.coeffs)
         if n == 0:
             return self
-        v = self.val
-        bound = self._bound * max(abs(v), abs(v + n - 1))
-        dtype = _dtype(bound)
-        exponents = np.arange(v, v + n, dtype=dtype)
-        return _make(v - 1, self.coeffs.astype(dtype, copy=False) * exponents, bound)
+        v, s = self.val, self.step
+        bound = self._bound * max(abs(v), abs(v + (n - 1) * s))
+        # Object exponents make numpy multiply on Python ints.
+        exponents = np.arange(v, v + n * s, s, dtype=_dtype(bound))
+        return _make(v - 1, self.coeffs * exponents, bound, s)
 
     def mirror(self) -> "LaurentPoly":
         """Substitute A -> A^(-1): the coefficient of A^k moves to A^(-k)."""
         if not len(self.coeffs):
             return self
-        return _wrap(-self.maxdeg, self.coeffs[::-1], self._bound)
+        return _wrap(-self.maxdeg, self.coeffs[::-1], self._bound, self.step)
 
     def eval_at_root(self, pt: RootOfUnityPoint) -> complex:
         """Evaluate at A0 = exp(i*pi/2N) by exact residue-class reduction.
@@ -448,25 +501,33 @@ class LaurentPoly:
         magnitude never costs precision; one dot product with the powers of
         A0 finishes.
         """
-        start, sums = self._residue_sums(pt.order)
-        powers = pt.powers()
-        return complex(np.dot(sums, powers[start: start + len(sums)]))
+        order = pt.order
+        start, sums = self._residue_sums(order)
+        s = self.step
+        if order % s:
+            powers = pt.powers()[(start + s * np.arange(len(sums))) % order]
+        else:
+            powers = pt.powers()[start: start + s * len(sums): s]
+        return complex(np.dot(sums, powers))
 
     def _residue_sums(self, order: int) -> tuple[int, np.ndarray]:
         """(start, sums): sums[j] is the exact sum of the coefficients whose
-        exponent is congruent to start + j mod `order`; len(sums) <= order.
+        exponent is congruent to start + step*j mod `order`.
 
-        The array is folded into rows of `order` columns and summed down the
-        columns.
+        Exponents val + step*i repeat mod `order` with period
+        width = order / gcd(step, order) in i, so the array is folded into
+        rows of `width` columns and summed down the columns.
         """
         arr = self.coeffs
-        rows, tail = divmod(len(arr), order)
+        s = self.step
+        width = order if s == 1 else order // math.gcd(s, order)
+        rows, tail = divmod(len(arr), width)
         # A column sums at most rows + 1 coefficients.
         if (rows + 1) * self._bound >= _INT64_BOUND:
             arr = arr.astype(object)
         if rows:
-            sums = arr[: rows * order].reshape(rows, order).sum(axis=0)
-            sums[:tail] += arr[rows * order:]
+            sums = arr[: rows * width].reshape(rows, width).sum(axis=0)
+            sums[:tail] += arr[rows * width:]
         else:
             sums = arr
         return self.val % order, sums
@@ -517,60 +578,79 @@ def quantum_integer(n: int) -> LaurentPoly:
     LaurentPoly('A^2 + A^-2')
     >>> quantum_integer(-3)
     LaurentPoly('-A^4 - 1 - A^-4')
+
+    It is stored on step 4, one entry per term:
+
+    >>> q = quantum_integer(3)
+    >>> q.val, q.step, q.coeffs.tolist()
+    (-4, 4, [1, 1, 1])
     """
     if n == 0:
         return LaurentPoly.zero()
     sign = 1 if n > 0 else -1
     n = abs(n)
-    coeffs = np.zeros(4 * (n - 1) + 1, dtype=np.int64)
-    coeffs[::4] = sign
-    return _wrap(-2 * (n - 1), coeffs, 1)
+    return _wrap(-2 * (n - 1), np.full(n, sign, dtype=np.int64), 1, 4)
 
 
 class PolyAccumulator:
-    """Streaming sum of terms coeff * A^shift * poly on a dense buffer.
+    """Streaming sum of terms coeff * A^shift * poly on a strided buffer.
 
-    The buffer grows geometrically as terms arrive, so a long cabling sum
-    costs one vectorized slice add per term and never holds more than the
-    running total plus the current term.  It stays int64 while the running
-    bound sum(|coeff| * bound(poly)) is below 2^62 and moves to Python ints
-    once that bound is crossed.
+    The buffer takes its lattice from the first term and grows geometrically
+    as terms arrive, so a long cabling sum costs one vectorized slice add per
+    term and never holds more than the running total plus the current term.
+    A later term off that lattice refines the buffer once to the gcd lattice;
+    a term on a coarser lattice adds into a strided slice.  The buffer stays
+    int64 while the running bound sum(|coeff| * bound(poly)) is below 2^62
+    and moves to Python ints once that bound is crossed.
     """
 
-    __slots__ = ("_buf", "_lo", "_bound")
+    __slots__ = ("_buf", "_lo", "_step", "_bound", "_hint")
 
     def __init__(self):
         self._buf = None
-        self._lo = 0
+        self._lo = 0      # exponent of _buf[0]
+        self._step = 1    # _buf[i] is the coefficient of A^(_lo + _step*i)
         self._bound = 0
+        self._hint = None
+
+    def _start(self, lo: int, hi: int, step: int):
+        """First allocation, on the lattice lo + step*Z: covers [lo, hi) and
+        the hinted range."""
+        if self._hint is not None:
+            hint_lo, hint_hi = self._hint
+            if hint_lo < lo:
+                lo -= -(-(lo - hint_lo) // step) * step
+            hi = max(hi, hint_hi)
+        n = -(-(hi - lo) // step)
+        margin = max(16, n // 4)
+        self._step = step
+        self._lo = lo - margin * step
+        self._buf = np.zeros(n + 2 * margin, dtype=_dtype(self._bound))
 
     def _ensure(self, lo: int, hi: int):
-        if self._buf is None:
-            margin = max(16, (hi - lo) // 4)
-            self._lo = lo - margin
-            self._buf = np.zeros(hi - lo + 2 * margin, dtype=_dtype(self._bound))
-            return
-        cur_hi = self._lo + len(self._buf)
+        """Cover exponents [lo, hi); lo lies on the buffer's lattice."""
+        s = self._step
+        cur_hi = self._lo + len(self._buf) * s
         # A read-only buffer is shared with an earlier result: copy it first.
         if lo >= self._lo and hi <= cur_hi and self._buf.flags.writeable:
             return
         new_lo = min(lo, self._lo)
         new_hi = max(hi, cur_hi)
-        margin = max(16, (new_hi - new_lo) // 2)
+        margin = max(16, (new_hi - new_lo) // (2 * s)) * s
         if lo < self._lo:
             new_lo -= margin
         if hi > cur_hi:
             new_hi += margin
-        grown = np.zeros(new_hi - new_lo, dtype=self._buf.dtype)
-        off = self._lo - new_lo
+        grown = np.zeros(-(-(new_hi - new_lo) // s), dtype=self._buf.dtype)
+        off = (self._lo - new_lo) // s
         grown[off: off + len(self._buf)] = self._buf
         self._buf = grown
         self._lo = new_lo
 
     def hint_bounds(self, lo: int, hi: int):
-        """Pre-extend the buffer to cover [lo, hi); purely an optimization."""
+        """Size the first allocation to cover [lo, hi); purely an optimization."""
         if hi > lo:
-            self._ensure(lo, hi)
+            self._hint = (lo, hi)
 
     def add(self, coeff: int, shift: int, poly: LaurentPoly):
         if coeff == 0 or poly.is_zero():
@@ -578,12 +658,22 @@ class PolyAccumulator:
         self._bound += abs(int(coeff)) * poly._bound
         lo = shift + poly.val
         n = len(poly.coeffs)
-        self._ensure(lo, lo + n)
+        ps = _lattice(poly)
+        hi = lo + (n - 1) * ps + 1
+        if self._buf is None:
+            self._start(lo, hi, poly.step)
+        s = self._step
+        if ps % s or (lo - self._lo) % s:
+            s = math.gcd(s, ps, lo - self._lo)
+            self._buf = _spread(self._buf, self._step // s)
+            self._step = s
+        self._ensure(lo, hi)
         if self._buf.dtype != object and self._bound >= _INT64_BOUND:
             self._buf = self._buf.astype(object)
-        o = lo - self._lo
+        o = (lo - self._lo) // s
+        k = ps // s or 1
         arr = poly.coeffs
-        view = self._buf[o: o + n]
+        view = self._buf[o: o + (n - 1) * k + 1: k]
         if coeff == 1:
             view += arr
         elif coeff == -1:
@@ -596,7 +686,7 @@ class PolyAccumulator:
             return LaurentPoly.zero()
         # The result shares the buffer, so a later add works on a copy.
         self._buf.flags.writeable = False
-        return _make(self._lo, self._buf, self._bound)
+        return _make(self._lo, self._buf, self._bound, self._step)
 
 
 def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
@@ -611,20 +701,25 @@ def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
         raise ValueError("divisor color must be >= 1")
     if n == 1 or a.is_zero():
         return a
-    # num = a * (A^2 - A^-2) starts at A^(val - 2).  Dividing it by
-    # A^(-2n) (A^(4n) - 1) unrolls q[i] = q[i - 4n] - num[i] in one
-    # ascending pass: q is minus the running sums down each of 4n columns,
-    # and its top 4n entries are the remainder.
-    width = 4 * n
-    span = len(a.coeffs) + 4
+    # Work on the lattice g = gcd(step, 4), which holds a, [n] and the
+    # quotient.  num = a * (A^2 - A^-2) starts at A^(val - 2); A^2 is 4/g
+    # entries above A^-2.  Dividing num by A^(-2n) (A^(4n) - 1) unrolls
+    # q[i] = q[i - 4n/g] - num[i] in one ascending pass: q is minus the
+    # running sums down each of 4n/g columns, and its top 4n/g entries are
+    # the remainder.
+    g = math.gcd(_lattice(a), 4)
+    arr = _on(a, g)
+    shift = 4 // g
+    width = 4 * n // g
+    span = len(arr) + shift
     if span <= width:
         raise NotDivisible("degree span smaller than the divisor's")
     rows = -(-span // width)
     # A running sum adds at most `rows` entries of num, each at most 2 bound(a).
     bound = rows * 2 * a._bound
     buf = np.zeros(rows * width, dtype=_dtype(bound))
-    buf[4:span] = a.coeffs
-    buf[:span - 4] -= a.coeffs
+    buf[shift:span] = arr
+    buf[:span - shift] -= arr
     grid = buf.reshape(rows, width)
     np.cumsum(grid, axis=0, out=grid)
     qlen = span - width
@@ -632,7 +727,7 @@ def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
         raise NotDivisible("nonzero remainder")
     q = buf[:qlen]
     np.negative(q, out=q)
-    return _make(a.val - 2 + 2 * n, q, bound)
+    return _make(a.val - 2 + 2 * n, q, bound, g)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ These integers weight the terms of the cabling expansion in
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
 
 __all__ = ["CoeffTable", "coefficient", "trinomial_table", "validate_color_vector"]
 
@@ -68,10 +71,19 @@ class CoeffTable:
 def trinomial_table(colors: Sequence[int]) -> CoeffTable:
     """Convolve one all-ones vector per color into the coefficient table.
 
+    Every entry is at most the product of the colors (the sum of all
+    entries), so the convolution runs in int64 when that product is below
+    2^62 and on Python ints otherwise.
+
     >>> trinomial_table((3, 3))._values
     [1, 2, 3, 2, 1]
     """
     colors = validate_color_vector(colors)
+    if len(colors) > 1 and math.prod(colors) < 1 << 62:
+        arr = np.ones(colors[0], dtype=np.int64)
+        for n in colors[1:]:
+            arr = np.convolve(arr, np.ones(n, dtype=np.int64))
+        return CoeffTable(colors, arr.tolist())
     values = [1] * colors[0]
     for n in colors[1:]:
         out = [0] * (len(values) + n - 1)

@@ -5,6 +5,7 @@ from cablejones.asympt import (
     DivergentLimit,
     GrowthRecord,
     InsufficientData,
+    VanishingInvariant,
     eval_normalized_at_root,
     growth_table,
     lhospital_limit,
@@ -140,6 +141,14 @@ class TestGrowthTable:
             growth_table(parse("unknot"), [8, 8], 1)
         with pytest.raises(ValueError):
             growth_table(parse("unknot"), [], 1)
+
+    def test_vanishing_invariant_is_a_computation_error(self, monkeypatch):
+        import cablejones.asympt as asympt
+        monkeypatch.setattr(asympt, "colored_jones",
+                            lambda e, colors, memo=None: LaurentPoly.zero())
+        with pytest.raises(VanishingInvariant, match="N=4"):
+            growth_table(parse("unknot"), [4], 1)
+        assert not issubclass(VanishingInvariant, ValueError)
 
 
 class TestModeration:

@@ -4,8 +4,9 @@ Each reference value is a dict {exponent: coefficient} of Python ints and
 each reference operation is a plain loop over it, so nothing can overflow
 or round.  The array backend must give exactly the same polynomial, in its
 canonical dtype: int64 when every |coefficient| is below 2^62, object
-otherwise.  Inputs cover small dense spans, sparse spans near 1e6, and
-coefficients around the int64 edge.
+otherwise.  Inputs cover small dense spans, sparse spans near 1e6,
+coefficients around the int64 edge, and polynomials stored on exponent
+lattices of steps 1, 2, 3, 4 and 6, mixed with monomials.
 """
 
 import json
@@ -13,16 +14,19 @@ import json
 import numpy as np
 import pytest
 
+from cablejones import jones
 from cablejones.asympt import growth_table
+from cablejones.jones import colored_jones
 from cablejones.laurent import (
     LaurentPoly,
     NotDivisible,
     PolyAccumulator,
     RootOfUnityPoint,
+    _make,
     divide_by_quantum_integer,
     quantum_integer,
 )
-from cablejones.linkexpr import parse
+from cablejones.linkexpr import Unknot, parse
 
 from conftest import random_poly
 
@@ -233,6 +237,12 @@ class TestInt64Edge:
                 p = LaurentPoly.from_terms([(e, c), (e + 3, -c), (e + 8, 1)])
                 check(p.derivative(), ref_derivative(ref(p)))
 
+    def test_derivative_of_a_big_constant(self):
+        for mag in EDGE:
+            assert LaurentPoly.monomial(mag, 0).derivative().is_zero()
+            p = strided(-3, 3, [1, mag, 2])                 # constant term mid-array
+            check(p.derivative(), ref_derivative(ref(p)))
+
     def test_products_and_sums_cross_the_edge(self):
         for mag in EDGE:
             p = LaurentPoly.from_terms([(0, mag), (4, -mag), (9, 1)])
@@ -293,3 +303,177 @@ class TestPublicBoundary:
         p = quantum_integer(3)
         with pytest.raises(ValueError):
             p.coeffs[0] = 5
+
+
+# -- strided storage ----------------------------------------------------------
+
+STEPS = (1, 2, 3, 4, 6)
+
+
+def strided(val: int, step: int, coeffs) -> LaurentPoly:
+    """sum(coeffs[i] A^(val + step*i)) stored on the lattice `step`."""
+    return _make(val, np.array(coeffs, dtype=object), step=step)
+
+
+def random_strided(rng, step: int, mags=(20,)) -> LaurentPoly:
+    n = rng.randint(1, 10)
+    coeffs = [0] * n
+    for _ in range(rng.randint(1, 5)):
+        coeffs[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(1, rng.choice(mags))
+    return strided(rng.randint(-30, 30), step, coeffs)
+
+
+def strided_samples(rng, mags=(20,)):
+    """Polynomials on every step in STEPS, monomials among them."""
+    out = [random_strided(rng, s, mags) for s in STEPS for _ in range(4)]
+    out += [LaurentPoly.monomial(rng.randint(1, 9), rng.randint(-9, 9)),
+            quantum_integer(1).scale_shift(-5, 3),   # a monomial on step 4
+            strided(7, 6, [rng.choice(mags)])]
+    return out
+
+
+def strided_pairs(rng, mags=(20,)):
+    samples = strided_samples(rng, mags)
+    for a in samples:
+        for _ in range(3):
+            yield a, rng.choice(samples)
+
+
+class TestStridedStorage:
+    def test_ring_operations_mixed_lattices(self, rng):
+        for mags in ((20,), EDGE):
+            for a, b in strided_pairs(rng, mags):
+                ra, rb = ref(a), ref(b)
+                check(a, ra)
+                check(a + b, ref_add(ra, rb))
+                check(a - b, ref_add(ra, ref_scale_shift(rb, -1, 0)))
+                check(-a, ref_scale_shift(ra, -1, 0))
+                check(a * b, ref_mul(ra, rb))
+                check(a.scale_shift(3, 5), ref_scale_shift(ra, 3, 5))
+                check(a.derivative(), ref_derivative(ra))
+                check(a.mirror(), {-e: c for e, c in ra.items()})
+                assert all(a.coefficient(e) == ra.get(e, 0)
+                           for e in range(a.mindeg - 7, a.maxdeg + 8))
+
+    def test_both_product_paths_on_lattices(self):
+        dense = strided(-40, 4, [k % 5 - 2 or 1 for k in range(21)])
+        sparse = strided(-8 * 10 ** 5, 4, [5] + [0] * 399_999 + [-3])
+        third = strided(1, 3, [2, 0, -1, 4])
+        for a, b in ((dense, dense), (sparse, dense), (sparse, sparse),
+                     (sparse, third), (dense, third), (dense * 2 ** 61, dense),
+                     (sparse * 2 ** 61, third)):
+            check(a * b, ref_mul(ref(a), ref(b)))
+        assert (sparse * dense).step == 4
+
+    def test_exact_division(self, rng):
+        for a, b in strided_pairs(rng):
+            check((a * b).exact_divide(b), ref(a))
+            for n in range(1, 6):
+                check(divide_by_quantum_integer(a * quantum_integer(n), n), ref(a))
+
+    def test_not_divisible_agrees(self, rng):
+        for a, b in strided_pairs(rng):
+            for num, den in ((a, b), (a + b, b)):
+                if num.is_zero():
+                    continue
+                try:
+                    expected = ref_divide(ref(num), ref(den))
+                except NotDivisible:
+                    with pytest.raises(NotDivisible):
+                        num.exact_divide(den)
+                else:
+                    check(num.exact_divide(den), expected)
+            for n in (2, 3, 5):
+                qn = ref(quantum_integer(n))
+                try:
+                    expected = ref_divide(ref(a), qn)
+                except NotDivisible:
+                    with pytest.raises(NotDivisible):
+                        divide_by_quantum_integer(a, n)
+                else:
+                    check(divide_by_quantum_integer(a, n), expected)
+
+    def test_derivative_kills_a_middle_constant_term(self):
+        p = strided(-6, 3, [1, -2, 7, 4, -1])   # exponents -6 .. 6, constant 7
+        d = p.derivative()
+        check(d, ref_derivative(ref(p)))
+        assert d.coefficient(-1) == 0 and d.step == 3 and len(d.coeffs) == 5
+
+    def test_eval_and_residue_sums_off_the_root_lattice(self, rng):
+        # step does not divide 4N for steps 3 and 6 here: gathered powers.
+        for p in strided_samples(rng, (20,) + EDGE):
+            for n in (1, 2, 3, 5, 9):
+                pt = RootOfUnityPoint(n)
+                order = pt.order
+                start, sums = p._residue_sums(order)
+                got = [0] * order
+                for j, s in enumerate(sums.tolist()):
+                    got[(start + p.step * j) % order] += s
+                assert got == ref_residue_sums(ref(p), order)
+                powers = pt.powers()
+                expected = sum(complex(powers[e % order]) * c for e, c in ref(p).items())
+                scale = 1 + sum(abs(c) for c in ref(p).values())
+                assert abs(p.eval_at_root(pt) - expected) <= 1e-12 * scale
+
+    def test_accumulator_refines_its_lattice(self):
+        acc = PolyAccumulator()
+        expected = {}
+        terms = [(1, 0, quantum_integer(4), 4),             # step 4 sets the lattice
+                 (2, 6, quantum_integer(3), 4),             # on it
+                 (-1, 2, strided(0, 2, [1, 3, 1]), 2),      # refines to 2
+                 (3, 0, LaurentPoly.monomial(1, 5), 1),     # a monomial off it: 1
+                 (1, -100, strided(0, 6, [1, 1]), 1)]       # a coarser term, far out
+        for coeff, shift, poly, step in terms:
+            acc.add(coeff, shift, poly)
+            expected = ref_add(expected, ref_scale_shift(ref(poly), coeff, shift))
+            result = acc.result()                           # shared, then copied
+            check(result, expected)
+            assert result.step == step
+        acc = PolyAccumulator()
+        acc.hint_bounds(-50, 50)
+        acc.add(1, 0, quantum_integer(5))
+        acc.add(1, 4, quantum_integer(5))
+        assert acc.result().step == 4
+        check(acc.result(), ref_add(ref(quantum_integer(5)),
+                                    ref_scale_shift(ref(quantum_integer(5)), 1, 4)))
+
+    def test_equality_across_steps(self):
+        q = quantum_integer(3)
+        dense = LaurentPoly.from_terms(q.support())
+        assert q.step == 4 and dense.step == 1
+        assert q == dense and dense == q
+        assert q != dense + LaurentPoly.monomial(1, 0)
+        assert q != dense.scale_shift(1, 4)
+        assert q * 2 ** 62 == dense * 2 ** 62 and q * 2 ** 62 != dense * (2 ** 62 - 1)
+        assert strided(0, 2, [1, 0, 1]) == strided(0, 4, [1, 1]) == strided(0, 1, [1, 0, 0, 0, 1])
+        assert strided(0, 2, [1, 5, 1]) != strided(0, 4, [1, 1])
+        assert strided(0, 2, [2 ** 70, 0, 1]) != strided(0, 4, [2 ** 70, 1, 1])
+        assert LaurentPoly.monomial(3, 8) == strided(8, 6, [3]) == quantum_integer(1).scale_shift(3, 8)
+
+    def test_cancellation_leaves_a_coarser_true_lattice(self):
+        a = strided(0, 2, [1, 1, 1])                        # 1 + A^2 + A^4
+        b = strided(2, 1, [-1])                             # -A^2
+        c = a + b
+        assert c.step == 2 and c.coeffs.tolist() == [1, 0, 1]
+        assert c == strided(0, 4, [1, 1]) == LaurentPoly.from_terms([(0, 1), (4, 1)])
+        check(c * c, ref_mul(ref(c), ref(c)))
+        check(divide_by_quantum_integer(c * quantum_integer(3), 3), ref(c))
+        assert c.num_terms() == 2 and c.coefficient(2) == 0 and c.coefficient(4) == 1
+
+    def test_engine_values_live_on_step_4(self):
+        for text, colors in (("cable(2,13;1;cable(2,3;1;unknot))", (6,)),
+                             ("connsum(cable(2,3;1;unknot),1;cable(2,5;1;unknot),1)", (5,)),
+                             ("cable(2,4;1;unknot)", (4, 3))):
+            p = colored_jones(parse(text), colors)
+            assert p.step == 4
+            assert p == LaurentPoly.from_terms(p.support())
+
+    def test_memo_limits_the_exponent_span_not_the_stored_length(self, monkeypatch):
+        q = quantum_integer(5)                              # 5 entries, span 17
+        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 5)
+        memo = {}
+        assert colored_jones(Unknot(), (5,), memo) == q
+        assert not memo
+        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 17)
+        assert colored_jones(Unknot(), (5,), memo) == q
+        assert list(memo.values()) == [q]

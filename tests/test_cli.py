@@ -118,6 +118,14 @@ class TestExitCodes:
         assert code == 1
         assert "DivergentLimit" in err
 
+    def test_vanishing_invariant_is_computation_error(self, capsys, monkeypatch):
+        import cablejones.asympt as asympt
+        monkeypatch.setattr(asympt, "colored_jones",
+                            lambda e, colors, memo=None: LaurentPoly.zero())
+        code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", "2,4")
+        assert code == 1
+        assert "VanishingInvariant" in err
+
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
 

@@ -112,7 +112,7 @@ class TestDerivative:
         assert lp((0, 5)).derivative().is_zero()
 
     def test_wide_span_matches_termwise(self):
-        # Span above the numpy switchover; termwise rule must still hold.
+        # A wide sparse span of 9001 entries; the termwise rule must still hold.
         p = lp((5000, 2), (17, -3), (-4000, 7))
         assert p.derivative() == lp((4999, 10000), (16, -51), (-4001, -28000))
 

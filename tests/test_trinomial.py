@@ -90,3 +90,29 @@ def test_single_color_is_all_ones():
         t = trinomial_table((n,))
         assert all(c == 1 for _, c in t.items())
         assert len(list(t.items())) == n
+
+
+def loop_table(colors):
+    """The plain Python-int convolution, the reference for both backends."""
+    values = [1] * colors[0]
+    for n in colors[1:]:
+        out = [0] * (len(values) + n - 1)
+        for i, v in enumerate(values):
+            for j in range(n):
+                out[i + j] += v
+        values = out
+    return values
+
+
+def test_int64_and_python_int_paths_match_the_loop():
+    # prod(colors) below 2^62 convolves in int64; at or above it, Python ints.
+    rng = random.Random(9)
+    cases = [tuple(rng.randint(1, 40) for _ in range(rng.randint(2, 4)))
+             for _ in range(30)]
+    cases += [(512, 512), (2,) * 61, (2,) * 62, (4,) * 31, (4,) * 34]
+    for colors in cases:
+        values = trinomial_table(colors)._values
+        assert values == loop_table(colors)
+        assert all(type(v) is int for v in values)
+    big = trinomial_table((4,) * 34)._values
+    assert max(big) > 2 ** 63 and sum(big) == 4 ** 34
