@@ -204,6 +204,17 @@ def _on(p: "LaurentPoly", step: int) -> np.ndarray:
     return _spread(p.coeffs, p.step // step) if p.step != step else p.coeffs
 
 
+def _common(a: "LaurentPoly", b: "LaurentPoly", offset: int = 0):
+    """(s, x, y): a lattice s holding both a and b shifted by `offset`, with
+    their coefficients on it.  Equal steps with the offset on the lattice
+    take no gcd and no copy."""
+    s = a.step
+    if b.step == s and not offset % s:
+        return s, a.coeffs, b.coeffs
+    s = math.gcd(_lattice(a), _lattice(b), offset) or s
+    return s, _on(a, s), _on(b, s)
+
+
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 
@@ -345,12 +356,8 @@ class LaurentPoly:
             return other
         if not len(other.coeffs):
             return self
-        a, b = self.coeffs, other.coeffs
         va, vb = self.val, other.val
-        s = self.step
-        if other.step != s or (vb - va) % s:
-            s = math.gcd(_lattice(self), _lattice(other), vb - va) or s
-            a, b = _on(self, s), _on(other, s)
+        s, a, b = _common(self, other, vb - va)
         lo = min(va, vb)
         i, j = (va - lo) // s, (vb - lo) // s
         bound = self._bound + other._bound
@@ -384,15 +391,11 @@ class LaurentPoly:
         la, lb = len(a.coeffs), len(b.coeffs)
         if la * lb <= np.count_nonzero(a.coeffs) * (lb + _TERM_COST):
             # Dense enough to convolve, on the lattice gcd(step_a, step_b).
-            # Every output coefficient sums at most la products, each
-            # bounded by the product of the bounds.  The extreme products
+            # Every output coefficient sums at most la nonzero products (the
+            # lattice change adds only zeros), each bounded by the product
+            # of the bounds.  The extreme products
             # are nonzero, so the result needs no trimming.
-            s = a.step
-            x, y = a.coeffs, b.coeffs
-            if b.step != s:
-                s = math.gcd(_lattice(a), _lattice(b)) or s
-                x, y = _on(a, s), _on(b, s)
-                la = min(len(x), len(y))
+            s, x, y = _common(a, b)
             bound = la * a._bound * b._bound
             if bound < _INT64_BOUND:
                 return _wrap(a.val + b.val, np.convolve(x, y), bound, s)
@@ -446,11 +449,7 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        s = self.step
-        x, y = self.coeffs, b.coeffs
-        if b.step != s:
-            s = math.gcd(_lattice(self), _lattice(b)) or s
-            x, y = _on(self, s), _on(b, s)
+        s, x, y = _common(self, b)
         nb = len(y)
         if len(x) < nb:
             raise NotDivisible("degree span smaller than the divisor's")
@@ -664,9 +663,13 @@ class PolyAccumulator:
             self._start(lo, hi, poly.step)
         s = self._step
         if ps % s or (lo - self._lo) % s:
-            s = math.gcd(s, ps, lo - self._lo)
-            self._buf = _spread(self._buf, self._step // s)
-            self._step = s
+            # Refine to the gcd lattice.  Trim the buffer to its nonzero
+            # range first, so the spread does not carry the coarse margins.
+            g = math.gcd(s, ps, lo - self._lo)
+            i, j = _nonzero_range(self._buf)
+            self._lo = self._lo + i * s if i < j else lo
+            self._buf = _spread(self._buf[i:j], s // g)
+            self._step = s = g
         self._ensure(lo, hi)
         if self._buf.dtype != object and self._bound >= _INT64_BOUND:
             self._buf = self._buf.astype(object)

@@ -79,19 +79,11 @@ def trinomial_table(colors: Sequence[int]) -> CoeffTable:
     [1, 2, 3, 2, 1]
     """
     colors = validate_color_vector(colors)
-    if len(colors) > 1 and math.prod(colors) < 1 << 62:
-        arr = np.ones(colors[0], dtype=np.int64)
-        for n in colors[1:]:
-            arr = np.convolve(arr, np.ones(n, dtype=np.int64))
-        return CoeffTable(colors, arr.tolist())
-    values = [1] * colors[0]
+    dtype = np.int64 if math.prod(colors) < 1 << 62 else object
+    arr = np.ones(colors[0], dtype=dtype)
     for n in colors[1:]:
-        out = [0] * (len(values) + n - 1)
-        for i, v in enumerate(values):
-            for j in range(n):
-                out[i + j] += v
-        values = out
-    return CoeffTable(colors, values)
+        arr = np.convolve(arr, np.ones(n, dtype=dtype))
+    return CoeffTable(colors, arr.tolist())
 
 
 def coefficient(colors: Sequence[int], m: int) -> int:

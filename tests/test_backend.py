@@ -437,6 +437,24 @@ class TestStridedStorage:
         check(acc.result(), ref_add(ref(quantum_integer(5)),
                                     ref_scale_shift(ref(quantum_integer(5)), 1, 4)))
 
+    def test_refinement_drops_the_coarse_margins(self):
+        # Two terms stored on step 10^5: the first allocation's margins span
+        # millions of exponents, and a refinement spreads only the written
+        # range.
+        wide = strided(0, 10 ** 5, [1, 1])
+        acc = PolyAccumulator()
+        acc.add(1, 0, wide)
+        acc.add(1, 1, LaurentPoly.one())
+        assert acc._step == 1 and len(acc._buf) <= 2 * 10 ** 5
+        check(acc.result(), {0: 1, 1: 1, 10 ** 5: 1})
+        # A buffer that cancelled to zero restarts at the refining term.
+        acc = PolyAccumulator()
+        acc.add(1, 0, wide)
+        acc.add(-1, 0, wide)
+        acc.add(2, 3, strided(0, 6, [1, 1]))
+        assert acc._step == 1 and len(acc._buf) <= 64
+        check(acc.result(), {3: 2, 9: 2})
+
     def test_equality_across_steps(self):
         q = quantum_integer(3)
         dense = LaurentPoly.from_terms(q.support())

@@ -105,7 +105,8 @@ def loop_table(colors):
 
 
 def test_int64_and_python_int_paths_match_the_loop():
-    # prod(colors) below 2^62 convolves in int64; at or above it, Python ints.
+    # prod(colors) below 2^62 convolves in int64; at or above it, on Python
+    # ints in an object array.
     rng = random.Random(9)
     cases = [tuple(rng.randint(1, 40) for _ in range(rng.randint(2, 4)))
              for _ in range(30)]
