@@ -53,6 +53,7 @@ from .linkexpr import (
     ColorArityMismatch,
     ConnSum,
     ExprSyntaxError,
+    ExpressionTooDeep,
     LinkExpr,
     NonPositiveColor,
     Twist,

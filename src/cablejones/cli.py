@@ -28,6 +28,7 @@ __all__ = ["entry", "main"]
 
 _USAGE_ERRORS = (
     linkexpr.ExprSyntaxError,
+    linkexpr.ExpressionTooDeep,
     linkexpr.BadComponentIndex,
     linkexpr.BadCableParams,
     linkexpr.ColorArityMismatch,

@@ -66,6 +66,10 @@ _SCAN = 4096
 # overhead of a term counted as this many multiply-adds.
 _TERM_COST = 2048
 
+# Equality compares int64 arrays of up to this many entries as bytes, which
+# copies both and beats an elementwise pass only on short arrays.
+_EQ_BYTES_MAX = 8192
+
 
 class NotDivisible(ArithmeticError):
     """Exact division left a nonzero remainder.
@@ -335,7 +339,7 @@ class LaurentPoly:
             a, b = _on(self, g), _on(other, g)
         elif self.val != other.val or len(a) != len(b) or a.dtype != b.dtype:
             return False  # the dtype is a function of the value
-        if a.dtype == object:
+        if a.dtype == object or len(a) > _EQ_BYTES_MAX:
             return bool((a == b).all())
         return a.tobytes() == b.tobytes()
 
@@ -614,14 +618,14 @@ class PolyAccumulator:
 
     def _start(self, lo: int, hi: int, step: int):
         """First allocation, on the lattice lo + step*Z: covers [lo, hi) and
-        the hinted range."""
+        the hinted range, with room to grow on both sides unless hinted."""
         if self._hint is not None:
             hint_lo, hint_hi = self._hint
             if hint_lo < lo:
                 lo -= -(-(lo - hint_lo) // step) * step
             hi = max(hi, hint_hi)
         n = -(-(hi - lo) // step)
-        margin = max(16, n // 4)
+        margin = 0 if self._hint is not None else max(16, n // 4)
         self._step = step
         self._lo = lo - margin * step
         self._buf = np.zeros(n + 2 * margin, dtype=_dtype(self._bound))
@@ -647,7 +651,11 @@ class PolyAccumulator:
         self._lo = new_lo
 
     def hint_bounds(self, lo: int, hi: int):
-        """Size the first allocation to cover [lo, hi); purely an optimization."""
+        """Size the first allocation to cover exactly [lo, hi).
+
+        Purely an optimization: a term outside the range still fits, at the
+        cost of one regrowth.  The sparse product hints its exact range.
+        """
         if hi > lo:
             self._hint = (lo, hi)
 

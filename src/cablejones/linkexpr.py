@@ -10,7 +10,9 @@ the little grammar
           | "connsum" "(" expr "," i ";" expr "," j ")"
 
 with integers r, f, positive integers s, i, j, and 1-based component
-indices.  Whitespace is ignored everywhere.
+indices.  Whitespace is ignored everywhere.  The parser accepts at most
+MAX_NESTING levels of cable, twist and connsum inside one another, so the
+recursive parser, mirror and engine stay far from Python's recursion limit.
 
 Component bookkeeping: (r,s)-cabling component i replaces it with
 g = gcd(|r|, s) cable components (gcd(0, s) = s).  Numbering the s cable
@@ -35,7 +37,9 @@ __all__ = [
     "ColorArityMismatch",
     "ConnSum",
     "ExprSyntaxError",
+    "ExpressionTooDeep",
     "LinkExpr",
+    "MAX_NESTING",
     "NonPositiveColor",
     "Twist",
     "Unknot",
@@ -56,6 +60,10 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
+class ExpressionTooDeep(ValueError):
+    """Expression text nests more than MAX_NESTING constructors."""
+
+
 class BadComponentIndex(ValueError):
     pass
 
@@ -70,6 +78,9 @@ class ColorArityMismatch(ValueError):
 
 class NonPositiveColor(ValueError):
     pass
+
+
+MAX_NESTING = 100
 
 
 def cable_gcd(r: int, s: int) -> int:
@@ -233,12 +244,16 @@ class _Parser:
             raise ExprSyntaxError(f"{what} must be positive", start)
         return n
 
-    def expr(self) -> LinkExpr:
+    def expr(self, depth: int = 0) -> LinkExpr:
+        """Parse one expression inside `depth` enclosing constructors."""
         self._skip_ws()
         start = self.pos
         kw = self.word()
         if kw == "unknot":
             return Unknot()
+        if depth >= MAX_NESTING and kw in ("cable", "twist", "connsum"):
+            raise ExpressionTooDeep(
+                f"expression nests more than {MAX_NESTING} levels (at position {start})")
         if kw == "cable":
             self.expect("(")
             r = self.integer()
@@ -252,7 +267,7 @@ class _Parser:
             self.expect(";")
             i = self.posint("component index")
             self.expect(";")
-            child = self.expr()
+            child = self.expr(depth + 1)
             self.expect(")")
             return Cable(child, i, r, s)
         if kw == "twist":
@@ -261,16 +276,16 @@ class _Parser:
             self.expect(";")
             i = self.posint("component index")
             self.expect(";")
-            child = self.expr()
+            child = self.expr(depth + 1)
             self.expect(")")
             return Twist(child, i, f)
         if kw == "connsum":
             self.expect("(")
-            left = self.expr()
+            left = self.expr(depth + 1)
             self.expect(",")
             i = self.posint("component index")
             self.expect(";")
-            right = self.expr()
+            right = self.expr(depth + 1)
             self.expect(",")
             j = self.posint("component index")
             self.expect(")")
@@ -282,8 +297,9 @@ def parse(text: str) -> LinkExpr:
     """Parse expression text into a validated tree.
 
     Raises ExprSyntaxError with a position on malformed text,
-    BadComponentIndex on an out-of-range component, and BadCableParams on
-    a non-positive strand count.
+    BadComponentIndex on an out-of-range component, BadCableParams on
+    a non-positive strand count, and ExpressionTooDeep past MAX_NESTING
+    nested constructors.
     """
     p = _Parser(text)
     e = p.expr()

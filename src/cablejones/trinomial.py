@@ -34,38 +34,44 @@ def validate_color_vector(colors: Sequence[int]) -> tuple[int, ...]:
 class CoeffTable:
     """Coefficients C[m] of one color vector, indexed by m = 2w.
 
-    C[m] = C[-m] > 0 on the support, the values are unimodal in |m|, and
-    they sum to the product of the colors.
+    ``array`` holds C[-width], C[-width + 2], ..., C[width], read-only, in
+    int64 when the product of the colors is below 2^62 and as Python ints
+    otherwise.  C[m] = C[-m] > 0 on the support, the values are unimodal in
+    |m|, and they sum to the product of the colors.
     """
 
-    __slots__ = ("colors", "width", "_values")
+    __slots__ = ("colors", "width", "array")
 
-    def __init__(self, colors: tuple[int, ...], values: list[int]):
+    def __init__(self, colors: tuple[int, ...], array: np.ndarray):
         self.colors = colors
         self.width = sum(colors) - len(colors)  # largest |m| in the support
-        self._values = values
+        array.setflags(write=False)
+        self.array = array
 
     def __getitem__(self, m: int) -> int:
         if abs(m) > self.width or (m - self.width) % 2:
             return 0
-        return self._values[(m + self.width) // 2]
+        return int(self.array[(m + self.width) // 2])
 
     def support(self) -> range:
         """The m values carrying nonzero coefficients, ascending."""
         return range(-self.width, self.width + 1, 2)
 
+    def values(self) -> list[int]:
+        """The coefficients in ascending m, as Python ints."""
+        return self.array.tolist()
+
     def items(self):
-        for m in self.support():
-            yield m, self._values[(m + self.width) // 2]
+        return zip(self.support(), self.values())
 
     def total(self) -> int:
-        return sum(self._values)
+        return int(self.array.sum())
 
     def as_json_dict(self) -> dict:
-        return {"m": list(self.support()), "C": [str(v) for v in self._values]}
+        return {"m": list(self.support()), "C": [str(v) for v in self.values()]}
 
     def __repr__(self) -> str:
-        return f"CoeffTable(colors={self.colors}, values={self._values})"
+        return f"CoeffTable(colors={self.colors}, values={self.values()})"
 
 
 def trinomial_table(colors: Sequence[int]) -> CoeffTable:
@@ -75,7 +81,7 @@ def trinomial_table(colors: Sequence[int]) -> CoeffTable:
     entries), so the convolution runs in int64 when that product is below
     2^62 and on Python ints otherwise.
 
-    >>> trinomial_table((3, 3))._values
+    >>> trinomial_table((3, 3)).values()
     [1, 2, 3, 2, 1]
     """
     colors = validate_color_vector(colors)
@@ -83,7 +89,7 @@ def trinomial_table(colors: Sequence[int]) -> CoeffTable:
     arr = np.ones(colors[0], dtype=dtype)
     for n in colors[1:]:
         arr = np.convolve(arr, np.ones(n, dtype=dtype))
-    return CoeffTable(colors, arr.tolist())
+    return CoeffTable(colors, arr)
 
 
 def coefficient(colors: Sequence[int], m: int) -> int:

@@ -22,6 +22,7 @@ from cablejones.laurent import (
     NotDivisible,
     PolyAccumulator,
     RootOfUnityPoint,
+    _EQ_BYTES_MAX,
     _make,
     divide_by_quantum_integer,
     quantum_integer,
@@ -437,6 +438,18 @@ class TestStridedStorage:
         check(acc.result(), ref_add(ref(quantum_integer(5)),
                                     ref_scale_shift(ref(quantum_integer(5)), 1, 4)))
 
+    def test_hinted_allocation_is_exact_and_still_grows(self):
+        q = quantum_integer(3)                              # A^-4 + 1 + A^4
+        acc = PolyAccumulator()
+        acc.hint_bounds(-4, 5)
+        acc.add(2, 0, q)
+        assert len(acc._buf) == 3
+        expected = ref_scale_shift(ref(q), 2, 0)
+        for coeff, shift in ((1, 100), (-1, -100), (5, 2)):
+            acc.add(coeff, shift, q)
+            expected = ref_add(expected, ref_scale_shift(ref(q), coeff, shift))
+            check(acc.result(), expected)
+
     def test_refinement_drops_the_coarse_margins(self):
         # Two terms stored on step 10^5: the first allocation's margins span
         # millions of exponents, and a refinement spreads only the written
@@ -486,12 +499,58 @@ class TestStridedStorage:
             assert p.step == 4
             assert p == LaurentPoly.from_terms(p.support())
 
-    def test_memo_limits_the_exponent_span_not_the_stored_length(self, monkeypatch):
-        q = quantum_integer(5)                              # 5 entries, span 17
-        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 5)
+    def test_memo_limits_the_numerator_terms(self, monkeypatch):
+        # The memo holds numerators J (A^2 - A^-2); [5] becomes A^10 - A^-10,
+        # two terms, where J itself has 5 entries and an exponent span of 17.
+        q = quantum_integer(5)
+        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 1)
         memo = {}
         assert colored_jones(Unknot(), (5,), memo) == q
         assert not memo
-        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 17)
+        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 2)
         assert colored_jones(Unknot(), (5,), memo) == q
-        assert list(memo.values()) == [q]
+        [(key, num)] = memo.items()
+        assert key == (Unknot(), (5,))
+        assert num.exps.tolist() == [-10, 10] and num.coeffs.tolist() == [-1, 1]
+        # A repeat query is served from the memo, entry for entry.
+        memo[key] = num._replace(coeffs=2 * num.coeffs, bound=2)
+        assert colored_jones(Unknot(), (5,), memo) == 2 * q
+
+
+class TestWideEquality:
+    """Equality past the length where arrays stop being compared as bytes."""
+
+    @staticmethod
+    def wide(n: int, val: int = -5, step: int = 4) -> LaurentPoly:
+        return _make(val, np.arange(n, dtype=np.int64) % 7 + 1, step=step)
+
+    def test_equal_and_unequal_arrays(self):
+        for n in (_EQ_BYTES_MAX - 1, _EQ_BYTES_MAX, _EQ_BYTES_MAX + 1, 300_000):
+            a = self.wide(n)
+            assert a == self.wide(n)
+            assert a != self.wide(n, val=-1) and a != self.wide(n, step=2)
+            for i in (0, n // 2, n - 1):
+                c = a.coeffs.copy()
+                c[i] += 1
+                b = _make(a.val, c, step=a.step)
+                assert a != b and b != a
+
+    def test_mirror_views(self):
+        for n in (_EQ_BYTES_MAX + 1, 300_000):
+            a = self.wide(n)
+            am = a.mirror()
+            assert not am.coeffs.flags.c_contiguous
+            assert am.mirror() == a and am == _make(am.val, am.coeffs.copy(), step=4)
+            c = am.coeffs.copy()
+            c[n // 2] = -c[n // 2]
+            assert am != _make(am.val, c, step=4)
+            assert _make(am.val, c, step=4).mirror() != a
+
+    def test_different_steps(self):
+        # The same value on step 4 and spread onto step 2 still compares equal.
+        a = self.wide(_EQ_BYTES_MAX)
+        spread = np.zeros(2 * len(a.coeffs) - 1, dtype=np.int64)
+        spread[::2] = a.coeffs
+        assert a == _make(a.val, spread, step=2)
+        spread[len(spread) // 2 + 1] = 1
+        assert a != _make(a.val, spread, step=2)

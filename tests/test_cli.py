@@ -102,6 +102,12 @@ class TestExitCodes:
         assert code == 2
         assert "ExprSyntaxError" in err
 
+    def test_too_deep_expression_is_usage(self, capsys):
+        text = "twist(1;1;" * 2000 + "unknot" + ")" * 2000
+        code, _, err = run(capsys, "jones", "--expr", text, "--colors", "2")
+        assert code == 2
+        assert "ExpressionTooDeep" in err and "Traceback" not in err
+
     def test_color_arity_is_usage(self, capsys):
         code, _, err = run(capsys, "jones", "--expr", "cable(2,2;1;unknot)",
                            "--colors", "2")

@@ -1,5 +1,9 @@
 import pytest
 
+from cablejones.asympt import eval_normalized_at_root
+from cablejones.jones import colored_jones
+from cablejones.laurent import RootOfUnityPoint, quantum_integer
+
 from cablejones.linkexpr import (
     BadCableParams,
     BadComponentIndex,
@@ -7,6 +11,8 @@ from cablejones.linkexpr import (
     ColorArityMismatch,
     ConnSum,
     ExprSyntaxError,
+    ExpressionTooDeep,
+    MAX_NESTING,
     NonPositiveColor,
     Twist,
     Unknot,
@@ -113,3 +119,46 @@ def test_round_trip_on_random_expressions(rng):
     for _ in range(100):
         e = random_expr(rng, depth=3)
         assert parse(to_text(e)) == e
+
+
+class TestNestingDepth:
+    # A twist or (1,1)-cable layer adds one framing twist and a connected
+    # sum with the unknot changes nothing, so with k twist and cable layers
+    # every shape has the invariant [n] A^(k (n^2 - 1)).
+    LAYERS = {
+        "twist": ("twist(1;1;", ")"),
+        "cable": ("cable(1,1;1;", ")"),
+        "connsum left": ("connsum(", ",1;unknot,1)"),
+        "connsum right": ("connsum(unknot,1;", ",1)"),
+    }
+
+    @staticmethod
+    def nested(layers, depth: int) -> str:
+        opens = "".join(layers[k % len(layers)][0] for k in range(depth))
+        closes = "".join(layers[k % len(layers)][1] for k in reversed(range(depth)))
+        return opens + "unknot" + closes
+
+    def shapes(self, depth: int):
+        for name, layer in self.LAYERS.items():
+            yield name, self.nested([layer], depth)
+        yield "mixed", self.nested(list(self.LAYERS.values()), depth)
+
+    def test_too_deep_is_a_typed_error(self):
+        for _, text in self.shapes(MAX_NESTING + 1):
+            with pytest.raises(ExpressionTooDeep, match=f"more than {MAX_NESTING}"):
+                parse(text)
+        with pytest.raises(ExpressionTooDeep):
+            parse(self.nested([self.LAYERS["twist"]], 2000))
+        assert issubclass(ExpressionTooDeep, ValueError)
+
+    def test_deepest_accepted_expression_runs_through(self):
+        for name, text in self.shapes(MAX_NESTING):
+            e = parse(text)
+            twists = text.count("twist") + text.count("cable")
+            n = 3
+            expected = quantum_integer(n).scale_shift(1, twists * (n * n - 1))
+            assert colored_jones(e, (n,)) == expected, name
+            assert colored_jones(mirror_expr(e), (n,)) == expected.mirror(), name
+            assert parse(to_text(e)) == e
+            value = eval_normalized_at_root(e, n)
+            assert abs(value - RootOfUnityPoint(n).a0 ** (twists * (n * n - 1))) < 1e-9, name

@@ -112,8 +112,8 @@ def test_int64_and_python_int_paths_match_the_loop():
              for _ in range(30)]
     cases += [(512, 512), (2,) * 61, (2,) * 62, (4,) * 31, (4,) * 34]
     for colors in cases:
-        values = trinomial_table(colors)._values
+        values = trinomial_table(colors).values()
         assert values == loop_table(colors)
         assert all(type(v) is int for v in values)
-    big = trinomial_table((4,) * 34)._values
+    big = trinomial_table((4,) * 34).values()
     assert max(big) > 2 ** 63 and sum(big) == 4 ** 34
