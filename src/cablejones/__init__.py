@@ -34,10 +34,8 @@ from .bracket import (
 from .jones import (
     ColorMismatchAtConnSum,
     DeferredRatio,
-    cable_term_exponent,
     colored_jones,
     normalized_jones,
-    signed_color_fetch,
 )
 from .laurent import (
     LaurentPoly,

@@ -6,6 +6,20 @@ evaluated directly; otherwise the ratio is a 0/0 form at A0 and the limit
 is taken by l'Hospital, differentiating numerator and denominator together
 until the denominator stops vanishing.
 
+For k = 1 the value comes from the engine's sparse numerator
+Num = J (A^2 - A^-2), with no dense J: J/[N] = Num / (A^(2N) - A^(-2N)), so
+P = A^(2N) Num equals Q (A^M - 1) with M = 4N and Q = J/[N].  Writing each
+exponent of P as M q + r splits P into A^r P_r(A^M) with P_r(u) = sum c u^q;
+A^M - 1 divides P exactly when every column sum S0[r] = P_r(1) is 0, and
+then Q(A0) = sum_r Q_r(1) A0^r with Q_r(1) = P_r'(1) = S1[r] = sum c q.  So
+one exact integer fold decides the division and gives the value, and J's
+degrees and largest coefficient are read off Num's ends and running sums.
+Since A0^(2N) = -1 the columns fold once more, to S1[r] - S1[r + 2N].  A
+value within the float error bound of 0 is taken again from the exact
+remainder of sum S1[r] x^r mod the cyclotomic polynomial Phi_M, which is 0
+exactly when the value is.  Any other case (k > 1, or a fold that does not
+divide) takes the dense path above.
+
 The decay diagnostic for a family of colorings is
 vc_value = (2 pi / N) * ln |J'_N(A0)|, which tends to zero exactly when
 |J'_N| grows subexponentially; growth tables record it per N together
@@ -22,11 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jones import DeferredRatio, colored_jones, normalized_jones
+from .jones import (
+    DeferredRatio,
+    _running_sums,
+    colored_jones,
+    colored_numerator,
+    normalized_jones,
+)
 from .laurent import (
     LaurentPoly,
     NotDivisible,
     RootOfUnityPoint,
+    _dtype,
+    _max_abs,
     divide_by_quantum_integer,
     quantum_integer,
 )
@@ -118,6 +140,12 @@ def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
                             memo: dict | None = None) -> complex:
     """Value of J(e) / [n]^split_mult at A0(n), all components colored n."""
     colors = (n,) * component_count(e)
+    if memo is None:
+        memo = {}
+    if split_mult == 1:
+        value = _sparse_value(colored_numerator(e, colors, memo), n)
+        if value is not None:
+            return value
     pt = RootOfUnityPoint(n)
     result = normalized_jones(e, colors, split_mult, memo)
     if isinstance(result, DeferredRatio):
@@ -156,15 +184,110 @@ def _normalized_value(J: LaurentPoly, n: int, split_mult: int,
     return quotient.eval_at_root(pt)
 
 
+def _sparse_value(num, n: int) -> complex | None:
+    """J/[n] at A0(n) from the numerator (exps, coeffs, bound) of J, by the
+    column fold in the module docstring; None when [n] does not divide J."""
+    exps, coeffs, bound = num
+    if not len(exps):
+        return 0j
+    m = 4 * n
+    top = max(-int(exps[0]), int(exps[-1])) + 2 * n
+    shifted = exps.astype(_dtype(top), copy=False) + 2 * n
+    q = shifted // m
+    r = shifted - q * m
+    # Every |c| <= bound and |q| <= qmax (q ascends with the exponents), so
+    # each column sum of c or c q stays within len * bound * qmax.
+    qmax = max(-int(q[0]), int(q[-1]), 1)
+    dtype = _dtype(len(exps) * bound * qmax)
+    c = coeffs.astype(dtype, copy=False)
+    r = r.astype(np.int64, copy=False)
+    s0 = np.zeros(m, dtype=dtype)
+    np.add.at(s0, r, c)
+    if s0.any():
+        return None
+    s1 = np.zeros(m, dtype=dtype)
+    np.add.at(s1, r, c * q.astype(dtype, copy=False))
+    # A0^(2n) = -1: fold S1 mod x^(2n) + 1, which Phi_4n divides.  Each term
+    # c q lands in one column, so the differences stay within the same bound.
+    s1 = s1[:2 * n] - s1[2 * n:]
+    powers = RootOfUnityPoint(n).powers()
+    value = complex(np.dot(s1, powers[:2 * n]))
+    # The float dot errs by at most (m + 64) 2^-52 sum |S1|: each S1 converts
+    # and each product rounds within 2^-53 relative, each power of A0 lies
+    # within 32 * 2^-53 of exact, the sum adds (2n - 1) 2^-53 of the total,
+    # and the two components double that.  A value that small is taken
+    # again from the exact remainder mod Phi_4n, which is 0 exactly when the
+    # value is.
+    if abs(value) <= (m + 64) * 2.0 ** -52 * float(np.abs(s1).sum()):
+        rem = _cyclotomic_remainder(s1, m)
+        value = complex(np.dot(rem, powers[:len(rem)])) if rem.any() else 0j
+    return value
+
+
+def _cyclotomic(m: int) -> np.ndarray:
+    """The coefficients of Phi_m, lowest degree first, as Python ints.
+
+    Phi_m = prod over squarefree d | m of (x^(m/d) - 1)^mu(d): multiply by
+    the binomials with mu(d) = 1, then divide by those with mu(d) = -1.
+    """
+    primes, rest, p = [], m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    plus, minus = [], []
+    for subset in range(1 << len(primes)):
+        d = math.prod(p for i, p in enumerate(primes) if subset >> i & 1)
+        (minus if bin(subset).count("1") % 2 else plus).append(m // d)
+    phi = np.ones(1, dtype=object)
+    for k in plus:
+        phi = np.concatenate((np.zeros(k, dtype=object), phi)) - \
+            np.concatenate((phi, np.zeros(k, dtype=object)))
+    for k in minus:
+        # phi = (x^k - 1) w unrolls as w[i] = w[i - k] - phi[i]: -w is the
+        # running sum down each of k columns, whose top k entries vanish.
+        rows = -(-len(phi) // k)
+        grid = np.zeros(rows * k, dtype=object)
+        grid[:len(phi)] = phi
+        w = -np.cumsum(grid.reshape(rows, k), axis=0).reshape(-1)
+        phi = w[:len(phi) - k]
+    return phi
+
+
+def _cyclotomic_remainder(s: np.ndarray, m: int) -> np.ndarray:
+    """sum(s[r] x^r) mod Phi_m, exactly: it has the same value at A0, and is
+    zero exactly when that value is.  For m a power of two Phi_m is
+    x^(m/2) + 1, and an s of length m/2 is its own remainder."""
+    phi = _cyclotomic(m)
+    deg = len(phi) - 1
+    rem = s.astype(object)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        if rem[i]:
+            rem[i - deg: i + 1] -= rem[i] * phi
+    return rem[:deg]
+
+
 def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
     colors = (n,) * component_count(e)
-    J = colored_jones(e, colors, {})
-    if J.is_zero():
+    memo: dict = {}
+    num = colored_numerator(e, colors, memo)
+    if not len(num.exps):
         raise VanishingInvariant(f"invariant vanishes identically at N={n}")
-    value = _normalized_value(J, n, split_mult, RootOfUnityPoint(n))
+    # J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the
+    # running sums of the numerator, and the last running sum is 0.
+    _, sums = _running_sums(num)
+    value = _sparse_value(num, n) if split_mult == 1 else None
+    if value is None:
+        J = colored_jones(e, colors, memo)
+        value = _normalized_value(J, n, split_mult, RootOfUnityPoint(n))
     abs_eval = abs(value)
     vc = (2 * math.pi / n) * math.log(abs_eval) if abs_eval > 0 else None
-    return GrowthRecord(n, J.maxdeg, J.mindeg, J.max_abs_coeff(), abs_eval, vc)
+    return GrowthRecord(n, int(num.exps[-1]) - 2, int(num.exps[0]) + 2,
+                        _max_abs(sums[:-1]), abs_eval, vc)
 
 
 def growth_table(e: LinkExpr, Ns, split_mult: int = 1,

@@ -31,18 +31,23 @@ for links built by cabling and twisting N is a short list of signed
 monomials where J is a long dense run.  A numerator is held as ascending
 distinct exponents with their nonzero coefficients; a cable of the unknot
 is one vectorized sum over m, any other cable concatenates its shifted and
-scaled children and merges equal exponents once.  A connected sum works on
-the dense J of both sides and converts its quotient back.  colored_jones
-builds the dense J once, at the end: every exponent of N lies in one class
-mod 4, and on the lattice lo + 4Z, J (from A^(lo + 2)) is minus the running
-sums of N, whose last one must vanish.
+scaled children and merges equal exponents once.  A connected sum has a
+numerator of its own: N_l J_r / [n] = J_l J_r (A^2 - A^-2) / [n] is the
+numerator of J_l J_r / [n], so it multiplies the numerator of the side with
+the shorter span, as a step-4 polynomial, by the dense J of the other side
+(one shifted add per numerator term) and divides by [n].  Every exponent of
+N lies in one class mod 4, and on the lattice lo + 4Z, J (from A^(lo + 2))
+is minus the running sums of N, whose last one must vanish; colored_jones
+builds that dense J once, at the end, and colored_numerator hands N itself
+to callers that need only J's degrees, its largest coefficient or its value
+at a root of unity.
 
 Each numerator carries a proved bound B on the |coefficients| of both N and
 J: 1 for the unknot, the child's bound for a twist, the sum over m of
-C[m] times the child's bound for a cable, and twice the bound of the dense
-quotient for a connected sum.  The merged sums and the running sums stay
-within B, so they run in int64 when B < 2^62 and on Python ints otherwise;
-exponents are int64 exactly when each |exponent| is below 2^62.
+C[m] times the child's bound for a cable, and the exact maxima of |N| and
+of its running sums for a connected sum.  The merged sums and the running
+sums stay within B, so they run in int64 when B < 2^62 and on Python ints
+otherwise; exponents are int64 exactly when each |exponent| is below 2^62.
 
 Results are memoized per computation on (subtree, color vector) as
 numerators; one with more than MEMO_SPAN_LIMIT stored terms is recomputed
@@ -61,6 +66,7 @@ from .laurent import (
     NotDivisible,
     _dtype,
     _make,
+    _max_abs,
     divide_by_quantum_integer,
 )
 from .linkexpr import (
@@ -79,10 +85,8 @@ __all__ = [
     "ColorMismatchAtConnSum",
     "DeferredRatio",
     "MEMO_SPAN_LIMIT",
-    "cable_term_exponent",
     "colored_jones",
     "normalized_jones",
-    "signed_color_fetch",
 ]
 
 MEMO_SPAN_LIMIT = 1 << 20
@@ -118,11 +122,16 @@ _UNKNOT_COEFFS = np.array([-1, 1], dtype=np.int64)
 _UNKNOT_COEFFS.setflags(write=False)  # shared by every unknot numerator
 
 
-def cable_term_exponent(r: int, s: int, m: int) -> int:
-    """A-exponent (r/g) * m * (m p + 2) of the cabling term at index m."""
-    g = cable_gcd(r, s)
-    p = s // g
-    return (r // g) * m * (m * p + 2)
+def colored_numerator(e: LinkExpr, colors, memo: dict | None = None) -> _Numerator:
+    """The numerator N = J (A^2 - A^-2) of colored_jones(e, colors), sparse.
+
+    Same arguments as :func:`colored_jones`; the zero invariant has no terms.
+    """
+    colors = tuple(colors)
+    validate_colors(e, colors)
+    if memo is None:
+        memo = {}
+    return _jones(e, colors, memo)
 
 
 def colored_jones(e: LinkExpr, colors, memo: dict | None = None) -> LaurentPoly:
@@ -132,38 +141,7 @@ def colored_jones(e: LinkExpr, colors, memo: dict | None = None) -> LaurentPoly:
     order fixed by :mod:`cablejones.linkexpr`.  Pass a dict as ``memo`` to
     share work across several calls on the same tree.
     """
-    colors = tuple(colors)
-    validate_colors(e, colors)
-    if memo is None:
-        memo = {}
-    return _dense(e, colors, memo)
-
-
-def signed_color_fetch(e: LinkExpr, colors, i: int, j: int,
-                       memo: dict | None = None) -> LaurentPoly:
-    """colored_jones of e with component i recolored to j, for any integer j.
-
-    j = 0 gives the zero polynomial and negative j negates, matching the
-    odd-color convention that lets the cabling sum run over signed colors.
-    """
-    if j == 0:
-        return LaurentPoly.zero()
-    colors = tuple(colors)
-    if memo is None:
-        memo = {}
-    sign = 1
-    if j < 0:
-        sign, j = -1, -j
-    cols = colors[:i - 1] + (j,) + colors[i:]
-    result = _dense(e, cols, memo)
-    return result if sign == 1 else -result
-
-
-def _dense(e: LinkExpr, colors: tuple[int, ...], memo: dict) -> LaurentPoly:
-    # A connected sum is computed densely, so it skips the round trip.
-    if isinstance(e, ConnSum):
-        return _connsum(e, colors, memo)
-    return _materialize(_jones(e, colors, memo))
+    return _materialize(colored_numerator(e, colors, memo))
 
 
 def _jones(e: LinkExpr, colors: tuple[int, ...], memo: dict) -> _Numerator:
@@ -185,7 +163,7 @@ def _jones(e: LinkExpr, colors: tuple[int, ...], memo: dict) -> _Numerator:
     elif isinstance(e, Cable):
         result = _cable(e, colors, memo)
     elif isinstance(e, ConnSum):
-        result = _numerator_of(_connsum(e, colors, memo))
+        result = _connsum(e, colors, memo)
     else:
         raise TypeError(f"not a link expression: {e!r}")
 
@@ -261,50 +239,35 @@ def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int) -> _Numerator:
     return _Numerator(exps[starts][keep], sums[keep], bound)
 
 
-def _materialize(num: _Numerator) -> LaurentPoly:
-    """The dense J = N / (A^2 - A^-2), on step 4.
+def _running_sums(num: _Numerator) -> tuple[np.ndarray, np.ndarray]:
+    """(k, S) for a nonzero numerator: its exponents as indices k on the
+    lattice lo + 4Z and the running sums S of its coefficients.
 
-    With lo the lowest exponent of N, N[lo + 4k] = J[k - 1] - J[k] for J
-    indexed from A^(lo + 2), so J[k] is minus the running sum of N up to
-    lo + 4k.  Each running sum is a coefficient of J, within the bound.
+    N[lo + 4k] = J[k - 1] - J[k] for J indexed from A^(lo + 2), so J is -S[i]
+    on k[i] <= k < k[i + 1].  Each running sum is a coefficient of J, within
+    the bound.  N is divisible exactly when its exponents lie in one class
+    mod 4 and the last running sum is 0.
     """
     exps, coeffs, bound = num
-    if not len(exps):
-        return LaurentPoly.zero()
-    lo = int(exps[0])
-    offsets = exps - lo
+    offsets = exps - exps[0]
     if (offsets % 4).any():
         raise NotDivisible("numerator exponents lie in more than one class mod 4")
-    buf = np.zeros((int(exps[-1]) - lo) // 4 + 1, dtype=_dtype(bound))
-    buf[(offsets // 4).astype(np.int64, copy=False)] = coeffs
-    np.cumsum(buf, out=buf)
-    if buf[-1]:
+    sums = np.cumsum(coeffs.astype(_dtype(bound), copy=False))
+    if sums[-1]:
         raise NotDivisible("A^2 - A^-2 does not divide the numerator: "
                            "its coefficients do not sum to 0")
-    J = buf[:-1]
-    np.negative(J, out=J)
-    return _make(lo + 2, J, bound, 4)
+    return (offsets // 4).astype(np.int64, copy=False), sums
 
 
-def _numerator_of(J: LaurentPoly) -> _Numerator:
-    """N = J (A^2 - A^-2) of an engine value J, which lies on step 4.
-
-    On the lattice val - 2 + 4Z, N[k] = J[k - 1] - J[k], so |N| <= 2 bound(J).
-    """
-    if J.is_zero():
-        return _ZERO
-    bound = 2 * J._bound
-    c = J.coeffs.astype(_dtype(bound), copy=False)
-    n = np.zeros(len(c) + 1, dtype=c.dtype)
-    n[1:] = c
-    n[:-1] -= c
-    k = np.flatnonzero(n)
-    lo = J.val - 2
-    exps = k.astype(_dtype(max(-lo, J.maxdeg + 2))) * 4 + lo
-    return _Numerator(exps, n[k], bound)
+def _materialize(num: _Numerator) -> LaurentPoly:
+    """The dense J = N / (A^2 - A^-2), on step 4."""
+    if not len(num.exps):
+        return LaurentPoly.zero()
+    k, sums = _running_sums(num)
+    return _make(int(num.exps[0]) + 2, np.repeat(-sums[:-1], np.diff(k)), num.bound, 4)
 
 
-def _connsum(e: ConnSum, colors: tuple[int, ...], memo: dict) -> LaurentPoly:
+def _connsum(e: ConnSum, colors: tuple[int, ...], memo: dict) -> _Numerator:
     cl = component_count(e.left)
     left_colors = colors[:cl]
     tail = colors[cl:]
@@ -314,9 +277,35 @@ def _connsum(e: ConnSum, colors: tuple[int, ...], memo: dict) -> LaurentPoly:
         raise ColorMismatchAtConnSum(
             f"joined component colored {left_colors[e.i - 1]} on the left "
             f"but {right_colors[e.j - 1]} on the right")
-    product = _dense(e.left, left_colors, memo) * _dense(e.right, right_colors, memo)
+    left = _jones(e.left, left_colors, memo)
+    right = _jones(e.right, right_colors, memo)
+    if not len(left.exps) or not len(right.exps):
+        return _ZERO
+    # The product adds one shifted copy of the longer side's J per term of
+    # the shorter side's N: __mul__ takes the shorter array as the sparse
+    # factor, so the sparse factor must be the shorter span.
+    s, o = sorted((left, right),
+                  key=lambda num: (int(num.exps[-1]) - int(num.exps[0]), len(num.exps)))
+    k, _ = _running_sums(s)
+    arr = np.zeros(int(k[-1]) + 1, dtype=s.coeffs.dtype)
+    arr[k] = s.coeffs
+    product = _make(int(s.exps[0]), arr, s.bound, 4) * _materialize(o)
     # The normalized invariant is multiplicative, so [n] divides exactly.
-    return divide_by_quantum_integer(product, n)
+    return _sparse(divide_by_quantum_integer(product, n))
+
+
+def _sparse(p: LaurentPoly) -> _Numerator:
+    """The nonzero engine numerator p, as a _Numerator with exact bound.
+
+    Each running sum adds at most len(k) coefficients of p, so they run in
+    int64 when len(k) bound(p) < 2^62; the bound kept is the larger of the
+    exact maxima of |N| and of the running sums, that is of |J|.
+    """
+    k = np.flatnonzero(p.coeffs)
+    exps = k.astype(_dtype(max(-p.val, p.maxdeg)), copy=False) * p.step + p.val
+    num = _Numerator(exps, p.coeffs[k], len(k) * p._bound)
+    _, sums = _running_sums(num)
+    return num._replace(bound=max(_max_abs(num.coeffs), _max_abs(sums)))
 
 
 def normalized_jones(e: LinkExpr, colors, split_mult: int = 1,

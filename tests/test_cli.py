@@ -126,8 +126,9 @@ class TestExitCodes:
 
     def test_vanishing_invariant_is_computation_error(self, capsys, monkeypatch):
         import cablejones.asympt as asympt
-        monkeypatch.setattr(asympt, "colored_jones",
-                            lambda e, colors, memo=None: LaurentPoly.zero())
+        from cablejones.jones import _ZERO
+        monkeypatch.setattr(asympt, "colored_numerator",
+                            lambda e, colors, memo=None: _ZERO)
         code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", "2,4")
         assert code == 1
         assert "VanishingInvariant" in err

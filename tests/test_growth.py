@@ -1,0 +1,268 @@
+"""Growth rows from the sparse numerator against the dense referee.
+
+growth_table reads a row at split multiplicity 1 from the engine's numerator
+N = J (A^2 - A^-2) alone: degrees from N's ends, the largest |coefficient|
+from N's running sums, and J/[N] at A0 from an exact fold of N's exponents
+mod 4N.  The referee builds the dense J with colored_jones, divides it by
+[N] and evaluates the quotient (or takes the l'Hospital limit), which is how
+every row was computed before.  Degrees and coefficients must agree exactly
+and values to 1e-12 relative; a value that is exactly zero comes out as 0.
+"""
+
+import numpy as np
+import pytest
+
+from cablejones import asympt
+from cablejones.asympt import (
+    DivergentLimit,
+    _cyclotomic,
+    _cyclotomic_remainder,
+    _normalized_value,
+    _sparse_value,
+    eval_normalized_at_root,
+    growth_table,
+    lhospital_limit,
+)
+from cablejones.jones import _Numerator, _sparse, colored_jones, colored_numerator
+from cablejones.laurent import (
+    LaurentPoly,
+    RootOfUnityPoint,
+    divide_by_quantum_integer,
+    quantum_integer,
+)
+from cablejones.linkexpr import component_count, mirror_expr, parse
+
+ITERATED = "cable(2,13;1;cable(2,3;1;unknot))"
+T23_T25 = "connsum(cable(2,3;1;unknot),1;cable(2,5;1;unknot),1)"
+
+
+def referee_row(e, n: int, split_mult: int):
+    J = colored_jones(e, (n,) * component_count(e))
+    value = _normalized_value(J, n, split_mult, RootOfUnityPoint(n))
+    return J.maxdeg, J.mindeg, J.max_abs_coeff(), abs(value)
+
+
+def agree(e, ns, split_mult: int = 1):
+    for rec in growth_table(e, ns, split_mult):
+        maxdeg, mindeg, coeff, value = referee_row(e, rec.N, split_mult)
+        assert (rec.maxdeg, rec.mindeg, rec.maxabscoeff) == (maxdeg, mindeg, coeff)
+        if rec.abs_eval == 0:
+            assert value < 1e-12 and rec.vc_value is None
+        else:
+            assert rec.abs_eval == pytest.approx(value, rel=1e-12, abs=0)
+
+
+NS = (1, 2, 3, 5, 8, 16)
+
+
+def patch_numerator(monkeypatch, exps, coeffs, bound):
+    num = _Numerator(np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.int64), bound)
+    monkeypatch.setattr(asympt, "colored_numerator", lambda e, colors, memo=None: num)
+    return num
+
+
+class TestAgainstTheDenseReferee:
+    def test_cables_with_several_strands(self):
+        agree(parse("cable(4,6;1;unknot)"), NS)                      # g = 2
+        agree(parse("cable(1,2;1;cable(4,2;1;unknot))"), NS)
+        agree(parse("cable(3,3;1;unknot)"), (1, 2, 3, 4))            # g = 3
+
+    def test_negative_windings(self):
+        agree(parse("cable(-2,5;1;cable(3,2;1;unknot))"), NS)
+        agree(parse("cable(-3,2;1;unknot)"), NS)
+
+    def test_twists_and_mirrors(self):
+        e = parse(f"twist(3;1;{ITERATED})")
+        agree(e, (2, 4, 8))
+        agree(mirror_expr(e), (2, 4, 8))
+        agree(parse("cable(2,3;1;twist(-2;1;cable(2,5;1;unknot)))"), (2, 3, 6))
+
+    def test_cable_over_a_connected_sum(self):
+        agree(parse("cable(2,3;1;connsum(cable(2,3;1;unknot),1;cable(-2,5;1;unknot),1))"),
+              (2, 3, 4, 6))
+
+    def test_connected_sum_of_iterated_cables(self):
+        agree(parse("connsum(cable(2,5;1;cable(2,3;1;unknot)),1;"
+                    "cable(3,2;1;cable(2,3;1;unknot)),1)"), (2, 3, 5, 8))
+        agree(parse(T23_T25), (8, 16, 32))
+        agree(parse("connsum(cable(2,5;1;unknot),1;cable(2,3;1;unknot),1)"), (8, 16, 32))
+
+    def test_two_component_torus_link(self):
+        agree(parse("cable(2,4;1;unknot)"), NS + (32,))
+
+    def test_split_multiplicity_two_takes_the_dense_path(self):
+        agree(parse("cable(0,2;1;unknot)"), (2, 3, 5, 8), split_mult=2)
+        agree(parse("cable(0,3;1;unknot)"), (2, 3, 4), split_mult=2)
+        agree(parse("connsum(cable(0,2;1;unknot),1;cable(2,3;1;unknot),1)"), (2, 3, 5),
+              split_mult=2)
+        with pytest.raises(DivergentLimit):
+            growth_table(parse("cable(2,4;1;unknot)"), [3], split_mult=2)
+
+    def test_eval_matches_the_dense_referee(self):
+        for text in (ITERATED, T23_T25, "cable(2,4;1;unknot)"):
+            e = parse(text)
+            for n in (2, 3, 8):
+                J = colored_jones(e, (n,) * component_count(e))
+                expected = divide_by_quantum_integer(J, n).eval_at_root(RootOfUnityPoint(n))
+                assert eval_normalized_at_root(e, n) == pytest.approx(expected, rel=1e-12)
+
+
+class TestLargeColors:
+    """N = 512 rows, pinned from the dense path, which needs 2.4 s and
+    1.1 GB for the iterated row and 120 s for the connected sum."""
+
+    def test_iterated_cable_decays_to_n_512(self):
+        rows = growth_table(parse(ITERATED), [128, 256, 512])
+        vcs = [r.vc_value for r in rows]
+        assert vcs[0] > vcs[1] > vcs[2]
+        pinned = {256: (67660170, 22, 35, 5285082.562550465),
+                  512: (271634314, 22, 43, 27256218.335607417)}
+        for r in rows[1:]:
+            maxdeg, mindeg, coeff, value = pinned[r.N]
+            assert (r.maxdeg, r.mindeg, r.maxabscoeff) == (maxdeg, mindeg, coeff)
+            assert r.abs_eval == pytest.approx(value, rel=1e-12)
+        assert rows[-1].vc_value == pytest.approx(0.2101037, abs=1e-6)
+
+    def test_connected_sum_of_torus_knots_at_n_512(self):
+        [row] = growth_table(parse(T23_T25), [512])
+        assert (row.maxdeg, row.mindeg, row.maxabscoeff) == (4189178, 1022, 440)
+        assert row.abs_eval == pytest.approx(242942538.49840796, rel=1e-12)
+        # The normalized invariant is multiplicative, and J_conn = J_l J_r / [N].
+        [a] = growth_table(parse("cable(2,3;1;unknot)"), [512])
+        [b] = growth_table(parse("cable(2,5;1;unknot)"), [512])
+        assert row.abs_eval == pytest.approx(a.abs_eval * b.abs_eval, rel=1e-12)
+        assert row.maxdeg == a.maxdeg + b.maxdeg - 2 * 511
+        assert row.mindeg == a.mindeg + b.mindeg + 2 * 511
+
+
+class TestExactZero:
+    def test_split_unlink_vanishes_exactly(self):
+        rows = growth_table(parse("cable(0,2;1;unknot)"), [1, 2, 3, 5, 12])
+        assert rows[0].abs_eval == 1.0
+        for r in rows[1:]:
+            assert r.abs_eval == 0.0 and r.vc_value is None
+        assert eval_normalized_at_root(parse("cable(0,2;1;unknot)"), 4) == 0j
+
+    def test_cyclotomic_polynomials(self):
+        for m, phi in ((4, [1, 0, 1]), (8, [1, 0, 0, 0, 1]), (12, [1, 0, -1, 0, 1]),
+                       (20, [1, 0, -1, 0, 1, 0, -1, 0, 1]),
+                       (36, [1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1])):
+            assert _cyclotomic(m).tolist() == phi
+        for m in (24, 60, 120, 420):
+            phi = _cyclotomic(m)
+            zeta = np.exp(2j * np.pi / m)
+            assert abs(np.polyval(phi[::-1].astype(float), zeta)) < 1e-9
+
+    def test_remainder_vanishes_exactly_with_the_value(self, rng):
+        # Vanishing sums at a primitive m-th root: x^a (1 + x^(m/2)) and
+        # x^a times the sum of the p-th roots of unity, for primes p | m.
+        for m in (4, 8, 12, 20, 24, 36, 60, 64):
+            zeta = np.exp(2j * np.pi * np.arange(m) / m)
+            for _ in range(20):
+                s = np.zeros(m, dtype=np.int64)
+                for _ in range(3):
+                    a = rng.randrange(m)
+                    p = rng.choice([p for p in (2, 3, 5) if m % p == 0])
+                    s[[(a + j * m // p) % m for j in range(p)]] += rng.randint(-3, 3)
+                assert not _cyclotomic_remainder(s, m).any()
+                s[rng.randrange(m)] += rng.choice((-1, 1))
+                rem = _cyclotomic_remainder(s, m)
+                assert np.dot(rem, zeta[:len(rem)]) == pytest.approx(np.dot(s, zeta), abs=1e-9)
+                assert rem.any() == (abs(np.dot(s, zeta)) > 1e-9)
+
+    def test_columns_fold_by_the_half_period(self, monkeypatch):
+        # Q = J/[8] = 2^60 + 1 + 2^60 A^16 is 1 at A0, as A0^16 = -1.  A
+        # float sum over both columns would round 2^60 + 1 and be off by 141.
+        a = 2 ** 60
+        patch_numerator(monkeypatch, [-16, 0, 16, 32], [-(a + 1), -a, a + 1, a], 2 * a + 1)
+        [row] = growth_table(parse("unknot"), [8])
+        assert row.abs_eval == 1.0 and row.maxabscoeff == 2 * a + 1
+
+    def test_value_within_the_rounding_bound_is_taken_exactly(self, monkeypatch):
+        # Q = J/[3] = 2^60 (A^8 + A^4 + 1) + 1 is 1 at A0(3), where A0^4 is a
+        # cube root of unity, but the float sum errs by about 2^60 * 1e-16,
+        # so the value is taken again from the exact remainder mod Phi_12.
+        a = 2 ** 60
+        q = LaurentPoly.from_terms([(8, a), (4, a), (0, a + 1)])
+        num = _sparse(q * quantum_integer(3) * LaurentPoly.from_terms([(2, 1), (-2, -1)]))
+        monkeypatch.setattr(asympt, "colored_numerator", lambda e, colors, memo=None: num)
+        [row] = growth_table(parse("unknot"), [3])
+        assert row.abs_eval == pytest.approx(1.0, rel=1e-12)
+
+    def test_cli_prints_exact_zeros(self, capsys):
+        from cablejones.cli import main
+        assert main(["growth", "--expr", "cable(0,2;1;unknot)", "--n", "1,2,5"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[4], r[5]) for r in rows] == [("1", "0"), ("0", ""), ("0", "")]
+        assert main(["eval", "--expr", "cable(0,2;1;unknot)", "--color-all", "4"]) == 0
+        assert capsys.readouterr().out.strip() == "0+0i"
+
+
+class TestGuards:
+    def test_column_sums_past_int64(self, monkeypatch):
+        # N = 2^60 (A^(62n) - A^(-2n)) is the numerator of J = 2^60 A^(30n)
+        # [16n]: every |coefficient| of N and J is 2^60, but J/[n] at A0 is
+        # 16 * 2^60 = 2^64, one column sum past int64.
+        n = 4
+        patch_numerator(monkeypatch, [-2 * n, 62 * n], [-2 ** 60, 2 ** 60], 2 ** 60)
+        [row] = growth_table(parse("unknot"), [n])
+        assert (row.mindeg, row.maxdeg, row.maxabscoeff) == (2 - 2 * n, 62 * n - 2, 2 ** 60)
+        assert row.abs_eval == pytest.approx(2.0 ** 64, rel=1e-12)
+
+    def test_exponents_past_int64(self):
+        e = parse("cable(2,3;1;unknot)")
+        for n in (2, 5):
+            [base] = growth_table(e, [n])
+            for f in (2 ** 62 // (n * n - 1), 2 ** 70, -(2 ** 70)):
+                [row] = growth_table(parse(f"twist({f};1;cable(2,3;1;unknot))"), [n])
+                shift = f * (n * n - 1)
+                assert (row.mindeg, row.maxdeg) == (base.mindeg + shift, base.maxdeg + shift)
+                assert row.maxabscoeff == base.maxabscoeff
+                assert row.abs_eval == pytest.approx(base.abs_eval, rel=1e-12)
+
+    def test_fold_that_does_not_divide_takes_the_limit(self, monkeypatch):
+        # J = A^4 + A^-4 vanishes at A0(4) but [4] does not divide it.
+        J = LaurentPoly.from_terms([(4, 1), (-4, 1)])
+        num = patch_numerator(monkeypatch, [-6, -2, 2, 6], [-1, 1, -1, 1], 2)
+        assert _sparse_value(num, 4) is None
+        monkeypatch.setattr(asympt, "colored_jones", lambda e, colors, memo=None: J)
+        [row] = growth_table(parse("unknot"), [4])
+        expected = lhospital_limit(J, quantum_integer(4), RootOfUnityPoint(4))
+        assert row.abs_eval == pytest.approx(abs(expected), rel=1e-12)
+        assert (row.mindeg, row.maxdeg, row.maxabscoeff) == (-4, 4, 1)
+
+    def test_large_columns_that_do_not_divide(self, monkeypatch):
+        # Columns 0 and 4 mod 4n each sum to +-2^64: not divisible, and J
+        # does not vanish at A0, so the limit diverges.
+        n = 2
+        m = 4 * n
+        exps = sorted([m * q - 2 * n for q in range(8)] + [m * q + 4 - 2 * n for q in range(8)])
+        coeffs = [2 ** 61 if (e + 2 * n) % m == 0 else -2 ** 61 for e in exps]
+        num = patch_numerator(monkeypatch, exps, coeffs, 2 ** 61)
+        assert _sparse_value(num, n) is None
+        J = LaurentPoly.from_terms([(e + 2, -2 ** 61) for e in exps[::2]])
+        monkeypatch.setattr(asympt, "colored_jones", lambda e, colors, memo=None: J)
+        with pytest.raises(DivergentLimit):
+            growth_table(parse("unknot"), [n])
+
+
+class TestConnectedSumNumerator:
+    def test_bound_covers_n_and_j(self):
+        for text in (T23_T25, "connsum(cable(2,3;1;unknot),1;cable(0,2;1;unknot),1)",
+                     "connsum(cable(2,5;1;cable(2,3;1;unknot)),1;unknot,1)"):
+            e = parse(text)
+            for n in (2, 5, 9):
+                cols = (n,) * component_count(e)
+                num = colored_numerator(e, cols)
+                J = colored_jones(e, cols)
+                assert num.bound == max(J.max_abs_coeff(),
+                                        max(abs(int(c)) for c in num.coeffs))
+
+    def test_running_sums_past_int64(self):
+        # |N| < 2^62, but J climbs to 4 (2^62 - 1).
+        a = 2 ** 62 - 1
+        p = LaurentPoly.from_terms(zip(range(-14, 15, 4), [a] * 4 + [-a] * 4))
+        num = _sparse(p)
+        assert num.exps.tolist() == list(range(-14, 15, 4))
+        assert num.bound == 4 * a

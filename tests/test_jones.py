@@ -2,15 +2,9 @@ from itertools import product
 
 import pytest
 
-from cablejones.jones import (
-    DeferredRatio,
-    cable_term_exponent,
-    colored_jones,
-    normalized_jones,
-    signed_color_fetch,
-)
+from cablejones.jones import DeferredRatio, colored_jones, normalized_jones
 from cablejones.laurent import LaurentPoly, quantum_integer
-from cablejones.linkexpr import Unknot, component_count, mirror_expr, parse
+from cablejones.linkexpr import Cable, Unknot, component_count, mirror_expr, parse
 
 from conftest import random_expr
 
@@ -54,30 +48,51 @@ class TestBaseCases:
 
 
 class TestSignedColorFetch:
+    """A cable fetches its child at the signed colors m p + 1, with the
+    odd-color convention J(-j) = -J(j) and J(0) = 0.  A (0,1)-cable colored
+    n sums its child over the colors -(n-2), ..., n step 2, which telescopes
+    to J(n) exactly under that convention."""
+
     def test_zero_color(self):
-        assert signed_color_fetch(TREFOIL, (2,), 1, 0).is_zero()
+        # n = 2: child colors 0 and 2, so J = J(0) + J(2) = J(2).
+        for child in (Unknot(), TREFOIL):
+            assert colored_jones(Cable(child, 1, 0, 1), (2,)) == colored_jones(child, (2,))
 
     def test_negative(self):
-        assert signed_color_fetch(Unknot(), (1,), 1, -2) == -quantum_integer(2)
+        # n = 3: child colors -1, 1, 3, so J = -J(1) + J(1) + J(3) = J(3);
+        # with J(-1) = +J(1) it would be 2 J(1) + J(3).
+        for child in (Unknot(), TREFOIL):
+            for n in (3, 4, 5):
+                assert colored_jones(Cable(child, 1, 0, 1), (n,)) == \
+                    colored_jones(child, (n,))
 
     def test_positive(self):
-        assert signed_color_fetch(Unknot(), (1,), 1, 4) == quantum_integer(4)
+        # The (1,2)-cable of the unknot at color 2: m = 1 fetches color 3
+        # with A^4, m = -1 fetches color -1 with A^0.
+        assert colored_jones(parse("cable(1,2;1;unknot)"), (2,)) == \
+            quantum_integer(3).scale_shift(1, 4) - quantum_integer(1)
 
 
 class TestCableTermExponent:
+    """The term m of an (r,s)-cable carries A^((r/g) m (m p + 2))."""
+
     def test_examples(self):
-        assert cable_term_exponent(2, 3, 1) == 10
-        assert cable_term_exponent(2, 3, -1) == 2
-        for s, m in ((1, 0), (4, 2), (5, -3)):
-            assert cable_term_exponent(0, s, m) == 0
+        # The trefoil at color 2 is A^10 [4] (m = 1) minus A^2 [2] (m = -1).
+        assert colored_jones(TREFOIL, (2,)) == \
+            quantum_integer(4).scale_shift(1, 10) - quantum_integer(2).scale_shift(1, 2)
+        # r = 0: every term is unshifted.
+        for s in (1, 2, 3):
+            e = parse(f"cable(0,{s};1;unknot)")
+            assert colored_jones(e, (3,) * s) == quantum_integer(3) ** s
 
     def test_always_integer_and_odd_under_mirror(self):
+        # The exponent is odd in r: the (-r,s)-cable is the mirror image.
         for r in range(-6, 7):
-            for s in range(1, 6):
-                for m in range(-8, 9):
-                    e = cable_term_exponent(r, s, m)
-                    assert isinstance(e, int)
-                    assert cable_term_exponent(-r, s, m) == -e
+            for s in range(1, 5):
+                e = parse(f"cable({r},{s};1;unknot)")
+                cols = (3,) * component_count(e)
+                assert colored_jones(parse(f"cable({-r},{s};1;unknot)"), cols) == \
+                    colored_jones(e, cols).mirror()
 
 
 class TestStructuralIdentities:
