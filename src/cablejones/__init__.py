@@ -38,6 +38,7 @@ from .jones import (
     normalized_jones,
 )
 from .laurent import (
+    ComputationError,
     LaurentPoly,
     NotDivisible,
     RootOfUnityPoint,

@@ -1,10 +1,11 @@
 """Root-of-unity evaluation, limits, and volume-conjecture decay tables.
 
-The normalized invariant of a link colored all-N is evaluated at
-A0 = exp(i*pi/2N).  When [N]^k divides exactly the quotient polynomial is
-evaluated directly; otherwise the ratio is a 0/0 form at A0 and the limit
-is taken by l'Hospital, differentiating numerator and denominator together
-until the denominator stops vanishing.
+The normalized invariant J/[N]^k of a link colored all-N is evaluated at
+A0 = exp(i*pi/2N).  The dense path takes the quotient from
+:func:`~cablejones.jones.normalized_jones`: when [N]^k divides exactly the
+quotient polynomial is evaluated directly; otherwise the ratio is a 0/0
+form at A0 and the limit is taken by l'Hospital, differentiating numerator
+and denominator together until the denominator stops vanishing.
 
 For k = 1 the value comes from the engine's sparse numerator
 Num = J (A^2 - A^-2), with no dense J: J/[N] = Num / (A^(2N) - A^(-2N)), so
@@ -18,7 +19,8 @@ Since A0^(2N) = -1 the columns fold once more, to S1[r] - S1[r + 2N].  A
 value within the float error bound of 0 is taken again from the exact
 remainder of sum S1[r] x^r mod the cyclotomic polynomial Phi_M, which is 0
 exactly when the value is.  Any other case (k > 1, or a fold that does not
-divide) takes the dense path above.
+divide) takes the dense path above.  Single values and growth rows go
+through the same choice.
 
 The decay diagnostic for a family of colorings is
 vc_value = (2 pi / N) * ln |J'_N(A0)|, which tends to zero exactly when
@@ -39,17 +41,15 @@ import numpy as np
 from .jones import (
     DeferredRatio,
     _running_sums,
-    colored_jones,
     colored_numerator,
     normalized_jones,
 )
 from .laurent import (
+    ComputationError,
     LaurentPoly,
-    NotDivisible,
     RootOfUnityPoint,
     _dtype,
     _max_abs,
-    divide_by_quantum_integer,
     quantum_integer,
 )
 from .linkexpr import LinkExpr, component_count
@@ -75,19 +75,19 @@ VANISH_TOL = 1e-8
 MAX_LHOSPITAL_DEPTH = 8
 
 
-class DivergentLimit(ArithmeticError):
+class DivergentLimit(ComputationError, ArithmeticError):
     """The numerator vanishes to lower order than the denominator."""
 
 
-class DepthExceeded(ArithmeticError):
+class DepthExceeded(ComputationError, ArithmeticError):
     """The differentiation ladder hit its depth cap while both sides vanish."""
 
 
-class InsufficientData(ValueError):
+class InsufficientData(ComputationError, ValueError):
     """Too few growth records to fit anything."""
 
 
-class VanishingInvariant(ArithmeticError):
+class VanishingInvariant(ComputationError, ArithmeticError):
     """The colored Jones polynomial came out identically zero, so a growth
     record has no degrees, coefficients or decay rate to report."""
 
@@ -139,13 +139,22 @@ def vanishing_order(p: LaurentPoly, pt: RootOfUnityPoint,
 def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
                             memo: dict | None = None) -> complex:
     """Value of J(e) / [n]^split_mult at A0(n), all components colored n."""
-    colors = (n,) * component_count(e)
     if memo is None:
         memo = {}
+    num = colored_numerator(e, (n,) * component_count(e), memo)
+    return _value(e, n, split_mult, memo, num)
+
+
+def _value(e: LinkExpr, n: int, split_mult: int, memo: dict, num) -> complex:
+    """J(e) / [n]^split_mult at A0(n), given J's numerator `num` computed
+    with `memo`: the sparse fold when it applies, else the dense path."""
     if split_mult == 1:
-        value = _sparse_value(colored_numerator(e, colors, memo), n)
+        value = _sparse_value(num, n)
         if value is not None:
             return value
+    # Seeded with num, the memo hands normalized_jones its root at once.
+    colors = (n,) * component_count(e)
+    memo[e, colors] = num
     pt = RootOfUnityPoint(n)
     result = normalized_jones(e, colors, split_mult, memo)
     if isinstance(result, DeferredRatio):
@@ -169,19 +178,6 @@ class GrowthRecord:
     maxabscoeff: int
     abs_eval: float
     vc_value: float | None
-
-
-def _normalized_value(J: LaurentPoly, n: int, split_mult: int,
-                      pt: RootOfUnityPoint) -> complex:
-    # Exact division first; only an inexact stage falls back to the limit.
-    quotient = J
-    for k in range(split_mult):
-        try:
-            quotient = divide_by_quantum_integer(quotient, n)
-        except NotDivisible:
-            return lhospital_limit(
-                quotient, quantum_integer(n) ** (split_mult - k), pt)
-    return quotient.eval_at_root(pt)
 
 
 def _sparse_value(num, n: int) -> complex | None:
@@ -272,19 +268,14 @@ def _cyclotomic_remainder(s: np.ndarray, m: int) -> np.ndarray:
 
 
 def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
-    colors = (n,) * component_count(e)
     memo: dict = {}
-    num = colored_numerator(e, colors, memo)
+    num = colored_numerator(e, (n,) * component_count(e), memo)
     if not len(num.exps):
         raise VanishingInvariant(f"invariant vanishes identically at N={n}")
     # J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the
     # running sums of the numerator, and the last running sum is 0.
     _, sums = _running_sums(num)
-    value = _sparse_value(num, n) if split_mult == 1 else None
-    if value is None:
-        J = colored_jones(e, colors, memo)
-        value = _normalized_value(J, n, split_mult, RootOfUnityPoint(n))
-    abs_eval = abs(value)
+    abs_eval = abs(_value(e, n, split_mult, memo, num))
     vc = (2 * math.pi / n) * math.log(abs_eval) if abs_eval > 0 else None
     return GrowthRecord(n, int(num.exps[-1]) - 2, int(num.exps[0]) + 2,
                         _max_abs(sums[:-1]), abs_eval, vc)

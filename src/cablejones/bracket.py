@@ -24,9 +24,10 @@ optional mirror.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, PolyAccumulator
+from .laurent import ComputationError, LaurentPoly
 
 __all__ = [
     "Crossing",
@@ -43,7 +44,7 @@ __all__ = [
 MAX_CROSSINGS = 16
 
 
-class TooManyCrossings(ValueError):
+class TooManyCrossings(ComputationError, ValueError):
     """The 2^crossings state sum would exceed the configured bound."""
 
 
@@ -161,7 +162,7 @@ def kauffman_bracket(d: PlanarDiagram,
     delta_pow = [LaurentPoly.one()]
     for _ in range(max_loops):
         delta_pow.append(delta_pow[-1] * delta)
-    acc = PolyAccumulator()
+    counts: Counter[tuple[int, int]] = Counter()
     crossings = d.crossings
     closures = d.closures
     n_edges = d.n_edges
@@ -185,8 +186,9 @@ def kauffman_bracket(d: PlanarDiagram,
                 parent[rx] = ry
         loops = sum(1 for e in range(n_edges) if _find(parent, e) == e)
         b_count = bin(state).count("1")
-        acc.add(1, n - 2 * b_count, delta_pow[loops - 1])
-    return acc.result()
+        counts[n - 2 * b_count, loops] += 1
+    return sum((delta_pow[loops - 1].scale_shift(count, shift)
+                for (shift, loops), count in counts.items()), LaurentPoly.zero())
 
 
 def jones_from_bracket(d: PlanarDiagram,

@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from itertools import product as iter_product
 
 from . import asympt, bracket, jones, linkexpr, symfun, trinomial
-from .laurent import NotDivisible
+from .laurent import ComputationError
 
 __all__ = ["entry", "main"]
 
@@ -34,15 +33,6 @@ _USAGE_ERRORS = (
     linkexpr.ColorArityMismatch,
     linkexpr.NonPositiveColor,
     ValueError,
-)
-_COMPUTE_ERRORS = (
-    NotDivisible,
-    jones.ColorMismatchAtConnSum,
-    asympt.DivergentLimit,
-    asympt.DepthExceeded,
-    asympt.InsufficientData,
-    asympt.VanishingInvariant,
-    bracket.TooManyCrossings,
 )
 
 
@@ -73,13 +63,6 @@ def _parse_range(text: str) -> list[int]:
             n *= k
         return out
     return [int(p) for p in text.split(",")]
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CJP_THREADS")
-    return int(env) if env else 1
 
 
 def _cmd_trinomial(args) -> int:
@@ -127,7 +110,7 @@ def _cmd_eval(args) -> int:
 def _cmd_growth(args) -> int:
     e = linkexpr.parse(args.expr)
     records = asympt.growth_table(e, _parse_range(args.n), args.split_mult,
-                                  threads=_threads(args))
+                                  threads=args.threads)
     rows = [[r.N, r.maxdeg, r.mindeg, str(r.maxabscoeff),
              f"{r.abs_eval:.12g}",
              "" if r.vc_value is None else f"{r.vc_value:.12g}"]
@@ -219,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="sweep a:b:x2 or comma list")
     p.add_argument("--split-mult", type=int, default=1)
     p.add_argument("--csv", help="write CSV here instead of stdout")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("verify", help="run self-check suites")
@@ -239,7 +222,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _COMPUTE_ERRORS as exc:
+    except ComputationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:

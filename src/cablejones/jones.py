@@ -62,6 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .laurent import (
+    ComputationError,
     LaurentPoly,
     NotDivisible,
     _dtype,
@@ -92,7 +93,7 @@ __all__ = [
 MEMO_SPAN_LIMIT = 1 << 20
 
 
-class ColorMismatchAtConnSum(ValueError):
+class ColorMismatchAtConnSum(ComputationError, ValueError):
     """The two sides of a connected sum disagree about the joined color."""
 
 

@@ -26,8 +26,10 @@ step 4, and so does everything the cabling engine builds from it, because
 cabling shifts differ by multiples of 4: the engine stores and adds a
 quarter of the entries a dense array would.  Supports are nearly contiguous
 on their lattice, so this form wins over a sparse map.  Values built from
-explicit terms start on step 1.  Bulk sums of many shifted polynomials go
-through :class:`PolyAccumulator`, one vectorized slice add per term.
+explicit terms start on step 1.  A product convolves when both factors are
+dense; when the shorter one is sparse it adds one shifted copy of the
+longer per nonzero term into a single buffer of the product's exact length,
+in the dtype fixed up front by sum |c| * bound(longer).
 
 Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
 coefficients exactly per residue class of the exponent mod 4N, so
@@ -46,9 +48,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "ComputationError",
     "LaurentPoly",
     "NotDivisible",
-    "PolyAccumulator",
     "RootOfUnityPoint",
     "divide_by_quantum_integer",
     "quantum_integer",
@@ -71,7 +73,15 @@ _TERM_COST = 2048
 _EQ_BYTES_MAX = 8192
 
 
-class NotDivisible(ArithmeticError):
+class ComputationError(Exception):
+    """Base of every error in which a well-formed input fails to compute.
+
+    Each subclass also keeps its own standard base (ArithmeticError or
+    ValueError); the CLI maps this class to exit code 1.
+    """
+
+
+class NotDivisible(ComputationError, ArithmeticError):
     """Exact division left a nonzero remainder.
 
     Divisibility is an invariant everywhere this package divides (connected
@@ -405,12 +415,26 @@ class LaurentPoly:
                 return _wrap(a.val + b.val, np.convolve(x, y), bound, s)
             # One object operand makes numpy convolve on Python ints.
             return _make(a.val + b.val, np.convolve(x.astype(object), y), step=s)
-        nz = a.coeffs.nonzero()[0]
-        acc = PolyAccumulator()
-        acc.hint_bounds(a.val + b.val, a.maxdeg + b.maxdeg + 1)
-        for i, c in zip(nz.tolist(), a.coeffs[nz].tolist()):
-            acc.add(c, a.val + a.step * i, b)
-        return acc.result()
+        # Sparse: one slice add of y per nonzero term of x, into one buffer
+        # sized exactly for the product.  Each output coefficient sums at
+        # most one product per term, so sum |c| * bound(b) bounds them all.
+        s, x, y = _common(a, b)
+        nz = x.nonzero()[0]
+        cs = x[nz].tolist()
+        bound = sum(abs(c) for c in cs) * b._bound
+        dtype = _dtype(bound)
+        y = y.astype(dtype, copy=False)
+        ly = len(y)
+        out = np.zeros(len(x) + ly - 1, dtype=dtype)
+        for i, c in zip(nz.tolist(), cs):
+            view = out[i: i + ly]
+            if c == 1:
+                view += y
+            elif c == -1:
+                view -= y
+            else:
+                view += y * c
+        return _make(a.val + b.val, out, bound, s)
 
     __rmul__ = __mul__
 
@@ -593,111 +617,6 @@ def quantum_integer(n: int) -> LaurentPoly:
     sign = 1 if n > 0 else -1
     n = abs(n)
     return _wrap(-2 * (n - 1), np.full(n, sign, dtype=np.int64), 1, 4)
-
-
-class PolyAccumulator:
-    """Streaming sum of terms coeff * A^shift * poly on a strided buffer.
-
-    The buffer takes its lattice from the first term and grows geometrically
-    as terms arrive, so a long cabling sum costs one vectorized slice add per
-    term and never holds more than the running total plus the current term.
-    A later term off that lattice refines the buffer once to the gcd lattice;
-    a term on a coarser lattice adds into a strided slice.  The buffer stays
-    int64 while the running bound sum(|coeff| * bound(poly)) is below 2^62
-    and moves to Python ints once that bound is crossed.
-    """
-
-    __slots__ = ("_buf", "_lo", "_step", "_bound", "_hint")
-
-    def __init__(self):
-        self._buf = None
-        self._lo = 0      # exponent of _buf[0]
-        self._step = 1    # _buf[i] is the coefficient of A^(_lo + _step*i)
-        self._bound = 0
-        self._hint = None
-
-    def _start(self, lo: int, hi: int, step: int):
-        """First allocation, on the lattice lo + step*Z: covers [lo, hi) and
-        the hinted range, with room to grow on both sides unless hinted."""
-        if self._hint is not None:
-            hint_lo, hint_hi = self._hint
-            if hint_lo < lo:
-                lo -= -(-(lo - hint_lo) // step) * step
-            hi = max(hi, hint_hi)
-        n = -(-(hi - lo) // step)
-        margin = 0 if self._hint is not None else max(16, n // 4)
-        self._step = step
-        self._lo = lo - margin * step
-        self._buf = np.zeros(n + 2 * margin, dtype=_dtype(self._bound))
-
-    def _ensure(self, lo: int, hi: int):
-        """Cover exponents [lo, hi); lo lies on the buffer's lattice."""
-        s = self._step
-        cur_hi = self._lo + len(self._buf) * s
-        # A read-only buffer is shared with an earlier result: copy it first.
-        if lo >= self._lo and hi <= cur_hi and self._buf.flags.writeable:
-            return
-        new_lo = min(lo, self._lo)
-        new_hi = max(hi, cur_hi)
-        margin = max(16, (new_hi - new_lo) // (2 * s)) * s
-        if lo < self._lo:
-            new_lo -= margin
-        if hi > cur_hi:
-            new_hi += margin
-        grown = np.zeros(-(-(new_hi - new_lo) // s), dtype=self._buf.dtype)
-        off = (self._lo - new_lo) // s
-        grown[off: off + len(self._buf)] = self._buf
-        self._buf = grown
-        self._lo = new_lo
-
-    def hint_bounds(self, lo: int, hi: int):
-        """Size the first allocation to cover exactly [lo, hi).
-
-        Purely an optimization: a term outside the range still fits, at the
-        cost of one regrowth.  The sparse product hints its exact range.
-        """
-        if hi > lo:
-            self._hint = (lo, hi)
-
-    def add(self, coeff: int, shift: int, poly: LaurentPoly):
-        if coeff == 0 or poly.is_zero():
-            return
-        self._bound += abs(int(coeff)) * poly._bound
-        lo = shift + poly.val
-        n = len(poly.coeffs)
-        ps = _lattice(poly)
-        hi = lo + (n - 1) * ps + 1
-        if self._buf is None:
-            self._start(lo, hi, poly.step)
-        s = self._step
-        if ps % s or (lo - self._lo) % s:
-            # Refine to the gcd lattice.  Trim the buffer to its nonzero
-            # range first, so the spread does not carry the coarse margins.
-            g = math.gcd(s, ps, lo - self._lo)
-            i, j = _nonzero_range(self._buf)
-            self._lo = self._lo + i * s if i < j else lo
-            self._buf = _spread(self._buf[i:j], s // g)
-            self._step = s = g
-        self._ensure(lo, hi)
-        if self._buf.dtype != object and self._bound >= _INT64_BOUND:
-            self._buf = self._buf.astype(object)
-        o = (lo - self._lo) // s
-        k = ps // s or 1
-        arr = poly.coeffs
-        view = self._buf[o: o + (n - 1) * k + 1: k]
-        if coeff == 1:
-            view += arr
-        elif coeff == -1:
-            view -= arr
-        else:
-            view += arr.astype(self._buf.dtype, copy=False) * coeff
-
-    def result(self) -> LaurentPoly:
-        if self._buf is None:
-            return LaurentPoly.zero()
-        # The result shares the buffer, so a later add works on a copy.
-        self._buf.flags.writeable = False
-        return _make(self._lo, self._buf, self._bound, self._step)
 
 
 def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:

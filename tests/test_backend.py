@@ -10,6 +10,7 @@ lattices of steps 1, 2, 3, 4 and 6, mixed with monomials.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from cablejones.jones import colored_jones
 from cablejones.laurent import (
     LaurentPoly,
     NotDivisible,
-    PolyAccumulator,
     RootOfUnityPoint,
     _EQ_BYTES_MAX,
     _make,
@@ -140,6 +140,13 @@ def all_pairs(rng):
         yield a, random_poly(rng, nonzero=True)
 
 
+def no_convolve(monkeypatch):
+    """Make any product that would convolve fail, so it must add slices."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the product convolved")
+    monkeypatch.setattr(np, "convolve", fail)
+
+
 # -- the referee --------------------------------------------------------------
 
 class TestReferee:
@@ -190,17 +197,16 @@ class TestReferee:
             else:
                 check(divide_by_quantum_integer(a, n), expected)
 
-    def test_accumulator(self, rng):
+    def test_sparse_products(self, rng, monkeypatch):
+        # Each factor is a pair of far-apart copies, so the shorter one is
+        # sparse and every product takes the slice-add branch.
+        no_convolve(monkeypatch)
         pairs = list(all_pairs(rng))
-        for start in range(0, len(pairs), 6):
-            acc = PolyAccumulator()
-            expected = {}
-            for a, _ in pairs[start: start + 6]:
-                coeff = rng.choice((1, -1, 2, -7))
-                shift = rng.randint(-40, 40)
-                acc.add(coeff, shift, a)
-                expected = ref_add(expected, ref_scale_shift(ref(a), coeff, shift))
-            check(acc.result(), expected)
+        for a, b in pairs:
+            x = a + a.scale_shift(rng.choice((1, -1, 2, -7)), 5000 + rng.randint(0, 40))
+            y = b + b.scale_shift(rng.choice((1, -1, 3)), 9000 + rng.randint(0, 40))
+            check(x * y, ref_mul(ref(x), ref(y)))
+            check(y * x, ref_mul(ref(x), ref(y)))
 
     def test_residue_sums(self, rng):
         for a, b in all_pairs(rng):
@@ -214,23 +220,31 @@ class TestReferee:
 
 
 class TestInt64Edge:
-    def test_accumulator_promotes_midway_and_demotes(self):
-        big = LaurentPoly.monomial(2 ** 61, 5)
-        acc = PolyAccumulator()
-        acc.add(1, 0, big)
-        acc.add(1, 0, big)            # running bound reaches 2^62: object
-        acc.add(1, 1, big)
-        check(acc.result(), {5: 2 ** 62, 6: 2 ** 61})
-        acc.add(-2, 0, big)           # the exact sum fits int64 again
-        check(acc.result(), {6: 2 ** 61})
+    def test_sparse_product_bound_passes_the_edge(self, monkeypatch):
+        # sum |c| * bound(y) = 2^62 puts the buffer on Python ints; the
+        # overlap cancels, so the exact result fits int64 and comes back so.
+        no_convolve(monkeypatch)
+        y = LaurentPoly(0, [1] * 20001)
+        x = LaurentPoly.from_terms([(0, 2 ** 61), (10 ** 4, -(2 ** 61))])
+        check(x * y, ref_mul(ref(x), ref(y)))
+        assert (x * y).max_abs_coeff() == 2 ** 61
+        # With the far sign flipped the overlap adds up to 2^62: object.
+        x = LaurentPoly.from_terms([(0, 2 ** 61), (10 ** 4, 2 ** 61)])
+        check(x * y, ref_mul(ref(x), ref(y)))
+        assert (x * y).max_abs_coeff() == 2 ** 62
 
-    def test_accumulator_result_is_a_snapshot(self):
-        acc = PolyAccumulator()
-        acc.add(3, 0, quantum_integer(3))
-        first = acc.result()
-        acc.add(1, 0, quantum_integer(3))
-        assert first == quantum_integer(3) * 3
-        assert acc.result() == quantum_integer(3) * 4
+    def test_sparse_product_leaves_its_factors_alone(self, monkeypatch):
+        # Terms of +-1 add y as it is; the result owns a fresh read-only
+        # array of exactly the product's length.
+        no_convolve(monkeypatch)
+        y = LaurentPoly(-3, [2, -1, 5] * 3000)
+        x = LaurentPoly.from_terms([(0, 1), (4000, -1), (8000, 3)])
+        before = y.coeffs.copy()
+        p = x * y
+        check(p, ref_mul(ref(x), ref(y)))
+        assert (y.coeffs == before).all() and not p.coeffs.flags.writeable
+        assert not np.shares_memory(p.coeffs, y.coeffs)
+        assert len(p.coeffs.base) == len(p.coeffs) == len(x.coeffs) + len(y.coeffs) - 1
 
     def test_derivative_at_huge_exponent(self):
         for c in (7, 2 ** 20, 2 ** 61):
@@ -416,57 +430,17 @@ class TestStridedStorage:
                 scale = 1 + sum(abs(c) for c in ref(p).values())
                 assert abs(p.eval_at_root(pt) - expected) <= 1e-12 * scale
 
-    def test_accumulator_refines_its_lattice(self):
-        acc = PolyAccumulator()
-        expected = {}
-        terms = [(1, 0, quantum_integer(4), 4),             # step 4 sets the lattice
-                 (2, 6, quantum_integer(3), 4),             # on it
-                 (-1, 2, strided(0, 2, [1, 3, 1]), 2),      # refines to 2
-                 (3, 0, LaurentPoly.monomial(1, 5), 1),     # a monomial off it: 1
-                 (1, -100, strided(0, 6, [1, 1]), 1)]       # a coarser term, far out
-        for coeff, shift, poly, step in terms:
-            acc.add(coeff, shift, poly)
-            expected = ref_add(expected, ref_scale_shift(ref(poly), coeff, shift))
-            result = acc.result()                           # shared, then copied
-            check(result, expected)
-            assert result.step == step
-        acc = PolyAccumulator()
-        acc.hint_bounds(-50, 50)
-        acc.add(1, 0, quantum_integer(5))
-        acc.add(1, 4, quantum_integer(5))
-        assert acc.result().step == 4
-        check(acc.result(), ref_add(ref(quantum_integer(5)),
-                                    ref_scale_shift(ref(quantum_integer(5)), 1, 4)))
-
-    def test_hinted_allocation_is_exact_and_still_grows(self):
-        q = quantum_integer(3)                              # A^-4 + 1 + A^4
-        acc = PolyAccumulator()
-        acc.hint_bounds(-4, 5)
-        acc.add(2, 0, q)
-        assert len(acc._buf) == 3
-        expected = ref_scale_shift(ref(q), 2, 0)
-        for coeff, shift in ((1, 100), (-1, -100), (5, 2)):
-            acc.add(coeff, shift, q)
-            expected = ref_add(expected, ref_scale_shift(ref(q), coeff, shift))
-            check(acc.result(), expected)
-
-    def test_refinement_drops_the_coarse_margins(self):
-        # Two terms stored on step 10^5: the first allocation's margins span
-        # millions of exponents, and a refinement spreads only the written
-        # range.
-        wide = strided(0, 10 ** 5, [1, 1])
-        acc = PolyAccumulator()
-        acc.add(1, 0, wide)
-        acc.add(1, 1, LaurentPoly.one())
-        assert acc._step == 1 and len(acc._buf) <= 2 * 10 ** 5
-        check(acc.result(), {0: 1, 1: 1, 10 ** 5: 1})
-        # A buffer that cancelled to zero restarts at the refining term.
-        acc = PolyAccumulator()
-        acc.add(1, 0, wide)
-        acc.add(-1, 0, wide)
-        acc.add(2, 3, strided(0, 6, [1, 1]))
-        assert acc._step == 1 and len(acc._buf) <= 64
-        check(acc.result(), {3: 2, 9: 2})
+    def test_sparse_product_takes_the_gcd_lattice(self, monkeypatch):
+        # A far term keeps the shorter factor sparse, so the slice-add
+        # branch runs, on the lattice gcd(step_x, step_y).
+        no_convolve(monkeypatch)
+        for sx in (4, 2, 1, 6):
+            for sy in (4, 2, 1, 6):
+                x = strided(2, sx, [3, 0, -1] + [0] * 3000 + [2])
+                y = strided(-7, sy, [k % 5 - 2 or 1 for k in range(3500)])
+                p = x * y
+                check(p, ref_mul(ref(x), ref(y)))
+                assert p.step == math.gcd(sx, sy)
 
     def test_equality_across_steps(self):
         q = quantum_integer(3)

@@ -1,8 +1,11 @@
 import csv
 import json
 
+import pytest
+
+from cablejones import asympt, bracket, jones
 from cablejones.cli import main
-from cablejones.laurent import LaurentPoly
+from cablejones.laurent import ComputationError, LaurentPoly, NotDivisible
 
 
 def run(capsys, *argv):
@@ -76,10 +79,13 @@ class TestGrowthCommand:
         code, out, _ = run(capsys, "growth", "--expr", "unknot",
                            "--n", "2,4,8", "--threads", "2")
         assert code == 0
-        monkeypatch.setenv("CJP_THREADS", "2")
         code, out2, _ = run(capsys, "growth", "--expr", "unknot", "--n", "2,4,8")
         assert code == 0
         assert out == out2
+        # --threads is the only knob: the old CJP_THREADS variable is not read.
+        monkeypatch.setenv("CJP_THREADS", "not-a-number")
+        code, out3, _ = run(capsys, "growth", "--expr", "unknot", "--n", "2,4,8")
+        assert (code, out3) == (0, out)
 
 
 class TestVerifyCommand:
@@ -138,3 +144,16 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_usage(self, capsys):
         assert run(capsys, "jones", "--colors", "2")[0] == 2
+
+    @pytest.mark.parametrize("error, base", [
+        (NotDivisible, ArithmeticError),
+        (jones.ColorMismatchAtConnSum, ValueError),
+        (asympt.DivergentLimit, ArithmeticError),
+        (asympt.DepthExceeded, ArithmeticError),
+        (asympt.InsufficientData, ValueError),
+        (asympt.VanishingInvariant, ArithmeticError),
+        (bracket.TooManyCrossings, ValueError),
+    ])
+    def test_computation_errors_share_one_base(self, error, base):
+        exc = error("x")
+        assert isinstance(exc, ComputationError) and isinstance(exc, base)

@@ -12,19 +12,26 @@ and values to 1e-12 relative; a value that is exactly zero comes out as 0.
 import numpy as np
 import pytest
 
-from cablejones import asympt
+from cablejones import asympt, jones
 from cablejones.asympt import (
     DivergentLimit,
     _cyclotomic,
     _cyclotomic_remainder,
-    _normalized_value,
     _sparse_value,
     eval_normalized_at_root,
     growth_table,
     lhospital_limit,
 )
-from cablejones.jones import _Numerator, _sparse, colored_jones, colored_numerator
+from cablejones.jones import (
+    DeferredRatio,
+    _Numerator,
+    _sparse,
+    colored_jones,
+    colored_numerator,
+    normalized_jones,
+)
 from cablejones.laurent import (
+    ComputationError,
     LaurentPoly,
     RootOfUnityPoint,
     divide_by_quantum_integer,
@@ -37,8 +44,16 @@ T23_T25 = "connsum(cable(2,3;1;unknot),1;cable(2,5;1;unknot),1)"
 
 
 def referee_row(e, n: int, split_mult: int):
-    J = colored_jones(e, (n,) * component_count(e))
-    value = _normalized_value(J, n, split_mult, RootOfUnityPoint(n))
+    colors = (n,) * component_count(e)
+    memo = {}
+    J = colored_jones(e, colors, memo)
+    pt = RootOfUnityPoint(n)
+    result = normalized_jones(e, colors, split_mult, memo)
+    if isinstance(result, DeferredRatio):
+        value = lhospital_limit(result.numerator,
+                                quantum_integer(result.color) ** result.power, pt)
+    else:
+        value = result.eval_at_root(pt)
     return J.maxdeg, J.mindeg, J.max_abs_coeff(), abs(value)
 
 
@@ -105,6 +120,27 @@ class TestAgainstTheDenseReferee:
                 J = colored_jones(e, (n,) * component_count(e))
                 expected = divide_by_quantum_integer(J, n).eval_at_root(RootOfUnityPoint(n))
                 assert eval_normalized_at_root(e, n) == pytest.approx(expected, rel=1e-12)
+
+
+class TestOnePath:
+    def test_eval_and_growth_agree_on_values_and_errors(self):
+        # Both go through one routine, so a value matches exactly and an
+        # error is raised by both or by neither.
+        for text in ("cable(2,4;1;unknot)", "cable(0,2;1;unknot)"):
+            e = parse(text)
+            for split_mult in (1, 2):
+                for n in (1, 2, 3, 5, 8):
+                    outcomes = []
+                    for compute in (
+                            lambda: abs(eval_normalized_at_root(e, n, split_mult)),
+                            lambda: growth_table(e, [n], split_mult)[0].abs_eval):
+                        try:
+                            outcomes.append(compute())
+                        except ComputationError as exc:
+                            outcomes.append(type(exc))
+                    assert outcomes[0] == outcomes[1]
+        with pytest.raises(DivergentLimit):
+            eval_normalized_at_root(parse("cable(2,4;1;unknot)"), 3, 2)
 
 
 class TestLargeColors:
@@ -226,11 +262,14 @@ class TestGuards:
         J = LaurentPoly.from_terms([(4, 1), (-4, 1)])
         num = patch_numerator(monkeypatch, [-6, -2, 2, 6], [-1, 1, -1, 1], 2)
         assert _sparse_value(num, 4) is None
-        monkeypatch.setattr(asympt, "colored_jones", lambda e, colors, memo=None: J)
+        monkeypatch.setattr(jones, "colored_jones", lambda e, colors, memo=None: J)
         [row] = growth_table(parse("unknot"), [4])
         expected = lhospital_limit(J, quantum_integer(4), RootOfUnityPoint(4))
         assert row.abs_eval == pytest.approx(abs(expected), rel=1e-12)
         assert (row.mindeg, row.maxdeg, row.maxabscoeff) == (-4, 4, 1)
+        # At split multiplicity 2 the limit is against [4]^2, of order 2.
+        with pytest.raises(DivergentLimit):
+            growth_table(parse("unknot"), [4], split_mult=2)
 
     def test_large_columns_that_do_not_divide(self, monkeypatch):
         # Columns 0 and 4 mod 4n each sum to +-2^64: not divisible, and J
@@ -242,7 +281,7 @@ class TestGuards:
         num = patch_numerator(monkeypatch, exps, coeffs, 2 ** 61)
         assert _sparse_value(num, n) is None
         J = LaurentPoly.from_terms([(e + 2, -2 ** 61) for e in exps[::2]])
-        monkeypatch.setattr(asympt, "colored_jones", lambda e, colors, memo=None: J)
+        monkeypatch.setattr(jones, "colored_jones", lambda e, colors, memo=None: J)
         with pytest.raises(DivergentLimit):
             growth_table(parse("unknot"), [n])
 

@@ -3,7 +3,6 @@ import pytest
 from cablejones.laurent import (
     LaurentPoly,
     NotDivisible,
-    PolyAccumulator,
     RootOfUnityPoint,
     divide_by_quantum_integer,
     quantum_integer,
@@ -192,22 +191,6 @@ class TestRandomizedProperties:
             za = a.eval_at_root(pt)
             zm = a.mirror().eval_at_root(pt)
             assert abs(zm - za.conjugate()) < 1e-9 * (1 + abs(za))
-
-
-class TestAccumulator:
-    def test_matches_repeated_addition(self, rng):
-        for _ in range(50):
-            terms = [(rng.randint(-5, 5), rng.randint(-40, 40), random_poly(rng))
-                     for _ in range(rng.randint(0, 10))]
-            acc = PolyAccumulator()
-            total = LaurentPoly.zero()
-            for c, sh, p in terms:
-                acc.add(c, sh, p)
-                total = total + p.scale_shift(c, sh)
-            assert acc.result() == total
-
-    def test_empty(self):
-        assert PolyAccumulator().result().is_zero()
 
 
 class TestSerialization:

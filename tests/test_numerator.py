@@ -1,10 +1,9 @@
 """Referee for the numerator engine of cablejones.jones.
 
 The referee is the dense recursion the engine replaced: every value is a
-LaurentPoly, a cable streams its terms through one PolyAccumulator (widest
-children first, with the whole range hinted), a connected sum multiplies
-and divides by [n], and values whose exponent span exceeds a limit are not
-memoized.  colored_jones must give literally the same polynomial, in the
+LaurentPoly, a cable adds up its terms child.scale_shift(c, shift) with +,
+a connected sum multiplies and divides by [n], and values whose exponent
+span exceeds a limit are not memoized.  colored_jones must give literally the same polynomial, in the
 same dtype, on cables of the unknot and of everything else, negative
 windings, colors through zero, twists, connected sums on both sides of a
 cable, and inputs that push coefficients or exponents past int64.
@@ -18,7 +17,6 @@ from cablejones.jones import _materialize, _Numerator, colored_jones
 from cablejones.laurent import (
     LaurentPoly,
     NotDivisible,
-    PolyAccumulator,
     divide_by_quantum_integer,
     quantum_integer,
 )
@@ -69,21 +67,15 @@ def referee_cable(e, colors, memo) -> LaurentPoly:
     g = cable_gcd(e.r, e.s)
     p, rg, i0 = e.s // g, e.r // g, e.i - 1
     table = trinomial_table(colors[i0: i0 + g])
-    acc = PolyAccumulator()
-    order = sorted(table.support(), key=abs, reverse=True)
-    first = True
-    for m in order:
+    total = LaurentPoly.zero()
+    for m, c in table.items():
         j = m * p + 1
         if j == 0:
             continue
         child_colors = colors[:i0] + (abs(j),) + colors[i0 + g:]
         child = referee(e.child, child_colors, memo)
-        if first and not child.is_zero():
-            first = False
-            shifts = [rg * mm * (mm * p + 2) for mm in order]
-            acc.hint_bounds(min(shifts) + child.val, max(shifts) + child.maxdeg + 1)
-        acc.add((1 if j > 0 else -1) * table[m], rg * m * (m * p + 2), child)
-    return acc.result()
+        total = total + child.scale_shift(c if j > 0 else -c, rg * m * (m * p + 2))
+    return total
 
 
 def same(got: LaurentPoly, expected: LaurentPoly):
