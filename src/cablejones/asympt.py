@@ -33,7 +33,6 @@ exponential) growth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +293,9 @@ def growth_table(e: LinkExpr, Ns, split_mult: int = 1,
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("colors must be strictly ascending")
     if threads > 1:
+        # Imported here: it pulls in logging, which serial callers never need.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda n: _growth_record(e, n, split_mult), Ns))
     return [_growth_record(e, n, split_mult) for n in Ns]

@@ -26,7 +26,8 @@ step 4, and so does everything the cabling engine builds from it, because
 cabling shifts differ by multiples of 4: the engine stores and adds a
 quarter of the entries a dense array would.  Supports are nearly contiguous
 on their lattice, so this form wins over a sparse map.  Values built from
-explicit terms start on step 1.  A product convolves when both factors are
+explicit terms start on step 1; a value read back from JSON takes the gcd
+of its exponent differences as its step.  A product convolves when both factors are
 dense; when the shorter one is sparse it adds one shifted copy of the
 longer per nonzero term into a single buffer of the product's exact length,
 in the dtype fixed up front by sum |c| * bound(longer).
@@ -229,6 +230,63 @@ def _common(a: "LaurentPoly", b: "LaurentPoly", offset: int = 0):
     return s, _on(a, s), _on(b, s)
 
 
+def _add_shifted(out: np.ndarray, offsets: list, coeffs: list, y: np.ndarray):
+    """out[i: i + len(y)] += c * y for each offset i and coefficient c.
+
+    One slice add per term, with no multiply for c = +-1; y must be in
+    out's dtype, and the caller proves that every sum fits it.
+    """
+    ly = len(y)
+    for i, c in zip(offsets, coeffs):
+        view = out[i: i + ly]
+        if c == 1:
+            view += y
+        elif c == -1:
+            view -= y
+        else:
+            view += y * c
+
+
+def _divide_binomial(buf: np.ndarray, span: int, width: int) -> np.ndarray:
+    """The quotient q of p = buf[:span], a polynomial in x, by x^width - 1.
+
+    ``buf`` holds p followed by zeros up to a multiple of `width` entries,
+    and is overwritten; span > width.  p = (x^width - 1) q unrolls to
+    q[i] = q[i - width] - p[i] in one ascending pass: q is minus the running
+    sums down each of `width` columns, and the top `width` running sums are
+    the remainder, which must vanish.  Every entry is one running sum, so a
+    bound on those proves the dtype of buf.  Returns a view of buf.
+    """
+    grid = buf.reshape(-1, width)
+    np.cumsum(grid, axis=0, out=grid)
+    qlen = span - width
+    if buf[qlen:span].any():
+        raise NotDivisible("nonzero remainder")
+    q = buf[:qlen]
+    np.negative(q, out=q)
+    return q
+
+
+def _sum_terms(terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """{exponent: coefficient} of (exponent, coefficient) pairs, zeros dropped."""
+    sums: dict[int, int] = {}
+    for e, c in terms:
+        sums[e] = sums.get(e, 0) + c
+    return {e: c for e, c in sums.items() if c}
+
+
+def _from_sums(sums: dict[int, int], step: int) -> "LaurentPoly":
+    """The polynomial of {exponent: nonzero coefficient} on a lattice
+    `step` that holds every exponent."""
+    if not sums:
+        return LaurentPoly.zero()
+    lo = min(sums)
+    bound = max(abs(c) for c in sums.values())
+    out = np.zeros((max(sums) - lo) // step + 1, dtype=_dtype(bound))
+    out[np.array([(e - lo) // step for e in sums], dtype=np.int64)] = list(sums.values())
+    return _wrap(lo, out, bound, step)
+
+
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 
@@ -273,18 +331,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_terms(terms: Iterable[tuple[int, int]]) -> "LaurentPoly":
-        """Build from (exponent, coefficient) pairs; repeats accumulate."""
-        sums: dict[int, int] = {}
-        for e, c in terms:
-            sums[e] = sums.get(e, 0) + c
-        sums = {e: c for e, c in sums.items() if c}
-        if not sums:
-            return LaurentPoly.zero()
-        lo = min(sums)
-        bound = max(abs(c) for c in sums.values())
-        out = np.zeros(max(sums) - lo + 1, dtype=_dtype(bound))
-        out[np.array([e - lo for e in sums], dtype=np.int64)] = list(sums.values())
-        return _wrap(lo, out, bound, 1)
+        """Build from (exponent, coefficient) pairs on step 1; repeats accumulate."""
+        return _from_sums(_sum_terms(terms), 1)
 
     # -- inspection -----------------------------------------------------
 
@@ -424,16 +472,8 @@ class LaurentPoly:
         bound = sum(abs(c) for c in cs) * b._bound
         dtype = _dtype(bound)
         y = y.astype(dtype, copy=False)
-        ly = len(y)
-        out = np.zeros(len(x) + ly - 1, dtype=dtype)
-        for i, c in zip(nz.tolist(), cs):
-            view = out[i: i + ly]
-            if c == 1:
-                view += y
-            elif c == -1:
-                view -= y
-            else:
-                view += y * c
+        out = np.zeros(len(x) + len(y) - 1, dtype=dtype)
+        _add_shifted(out, nz.tolist(), cs, y)
         return _make(a.val + b.val, out, bound, s)
 
     __rmul__ = __mul__
@@ -571,7 +611,11 @@ class LaurentPoly:
     def from_json_dict(data: dict) -> "LaurentPoly":
         if data.get("variable") != "A":
             raise ValueError("expected a polynomial in the variable A")
-        return LaurentPoly.from_terms((int(e), int(c)) for e, c in data["terms"])
+        # The step is the gcd of the exponent differences, so a value that
+        # lived on step 4 comes back on step 4.
+        sums = _sum_terms((int(e), int(c)) for e, c in data["terms"])
+        lo = min(sums, default=0)
+        return _from_sums(sums, math.gcd(*(e - lo for e in sums)) or 1)
 
     def __str__(self) -> str:
         if not len(self.coeffs):
@@ -633,10 +677,7 @@ def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
         return a
     # Work on the lattice g = gcd(step, 4), which holds a, [n] and the
     # quotient.  num = a * (A^2 - A^-2) starts at A^(val - 2); A^2 is 4/g
-    # entries above A^-2.  Dividing num by A^(-2n) (A^(4n) - 1) unrolls
-    # q[i] = q[i - 4n/g] - num[i] in one ascending pass: q is minus the
-    # running sums down each of 4n/g columns, and its top 4n/g entries are
-    # the remainder.
+    # entries above A^-2.  With x = A^g, num = A^(-2n) (x^(4n/g) - 1) q.
     g = math.gcd(_lattice(a), 4)
     arr = _on(a, g)
     shift = 4 // g
@@ -650,14 +691,7 @@ def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
     buf = np.zeros(rows * width, dtype=_dtype(bound))
     buf[shift:span] = arr
     buf[:span - shift] -= arr
-    grid = buf.reshape(rows, width)
-    np.cumsum(grid, axis=0, out=grid)
-    qlen = span - width
-    if buf[qlen:span].any():
-        raise NotDivisible("nonzero remainder")
-    q = buf[:qlen]
-    np.negative(q, out=q)
-    return _make(a.val - 2 + 2 * n, q, bound, g)
+    return _make(a.val - 2 + 2 * n, _divide_binomial(buf, span, width), bound, g)
 
 
 if __name__ == "__main__":

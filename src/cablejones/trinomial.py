@@ -8,7 +8,8 @@ of the product of symmetric uniform Laurent factors
 one all-ones factor per color.  The coefficient of x^w is indexed here by
 the integer m = 2w, so the support is {m : |m| <= |N|-g, m = |N|-g mod 2}.
 These integers weight the terms of the cabling expansion in
-:mod:`cablejones.jones`.
+:mod:`cablejones.jones`.  The table is built one color at a time, each
+all-ones factor applied as a difference of running sums.
 """
 
 from __future__ import annotations
@@ -77,9 +78,12 @@ class CoeffTable:
 def trinomial_table(colors: Sequence[int]) -> CoeffTable:
     """Convolve one all-ones vector per color into the coefficient table.
 
-    Every entry is at most the product of the colors (the sum of all
-    entries), so the convolution runs in int64 when that product is below
-    2^62 and on Python ints otherwise.
+    Convolving arr with n ones sums each window of n entries, so it is the
+    running sums of arr padded by n - 1 zeros minus the same running sums
+    shifted by n: O(len(arr)) per color instead of O(len(arr) n).  Every
+    running sum is at most the product of the colors (the sum of all
+    entries), so the sums run in int64 when that product is below 2^62 and
+    on Python ints otherwise.
 
     >>> trinomial_table((3, 3)).values()
     [1, 2, 3, 2, 1]
@@ -88,7 +92,9 @@ def trinomial_table(colors: Sequence[int]) -> CoeffTable:
     dtype = np.int64 if math.prod(colors) < 1 << 62 else object
     arr = np.ones(colors[0], dtype=dtype)
     for n in colors[1:]:
-        arr = np.convolve(arr, np.ones(n, dtype=dtype))
+        sums = np.cumsum(np.concatenate((arr, np.zeros(n - 1, dtype=dtype))))
+        arr = sums.copy()
+        arr[n:] -= sums[:-n]
     return CoeffTable(colors, arr)
 
 

@@ -473,6 +473,24 @@ class TestStridedStorage:
             assert p.step == 4
             assert p == LaurentPoly.from_terms(p.support())
 
+    def test_json_read_back_takes_the_step_of_its_exponents(self):
+        def round_trip(p):
+            return LaurentPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+
+        cable = colored_jones(parse("cable(2,13;1;cable(2,3;1;unknot))"), (6,))
+        back = round_trip(cable)
+        assert back == cable and back.step == 4 and back.coeffs.dtype == np.int64
+        assert len(back.coeffs) == len(cable.coeffs)
+        for p, step in ((LaurentPoly.monomial(-3, 8), 1),          # one term
+                        (LaurentPoly.from_terms([(-3, 1), (2, 5), (6, -1)]), 1),
+                        (strided(-6, 6, [2 ** 70, 0, -1]), 12),
+                        (LaurentPoly.zero(), 1)):
+            back = round_trip(p)
+            assert back == p and back.step == step
+            assert back.coeffs.dtype == p.coeffs.dtype
+        # Built from terms, the same value stays on step 1.
+        assert LaurentPoly.from_terms(cable.support()).step == 1
+
     def test_memo_limits_the_numerator_terms(self, monkeypatch):
         # The memo holds numerators J (A^2 - A^-2); [5] becomes A^10 - A^-10,
         # two terms, where J itself has 5 entries and an exponent span of 17.

@@ -7,16 +7,30 @@ span exceeds a limit are not memoized.  colored_jones must give literally the sa
 same dtype, on cables of the unknot and of everything else, negative
 windings, colors through zero, twists, connected sums on both sides of a
 cable, and inputs that push coefficients or exponents past int64.
+
+The connected-sum kernel (sparse product, then division by
+A^(2n) - A^(-2n)) has a referee of its own: the step-4 product with a dense
+J and division by [n] that it replaced, which must give the same numerator
+entry for entry in each regime of the product.
 """
 
 import numpy as np
 import pytest
 
 from cablejones import jones
-from cablejones.jones import _materialize, _Numerator, colored_jones
+from cablejones.jones import (
+    _ZERO,
+    _materialize,
+    _Numerator,
+    _running_sums,
+    _sparse,
+    colored_jones,
+    colored_numerator,
+)
 from cablejones.laurent import (
     LaurentPoly,
     NotDivisible,
+    _make,
     divide_by_quantum_integer,
     quantum_integer,
 )
@@ -241,3 +255,174 @@ class TestMaterialize:
         for terms in ([(0, 1)], [(-2, 1), (2, 1)], [(-6, -1), (2, 1), (6, 1)]):
             with pytest.raises(NotDivisible):
                 _materialize(self.numerator(terms))
+
+
+# -- the connected-sum kernel ---------------------------------------------------
+
+def referee_connsum(e, colors, memo):
+    """The connected-sum numerator as the engine first computed it: one
+    side's N spread to step 4, times the dense J of the other side, divided
+    by [n] with divide_by_quantum_integer."""
+    cl = component_count(e.left)
+    n = colors[e.i - 1]
+    tail = colors[cl:]
+    left = jones._jones(e.left, colors[:cl], memo)
+    right = jones._jones(e.right, tail[:e.j - 1] + (n,) + tail[e.j - 1:], memo)
+    if not len(left.exps) or not len(right.exps):
+        return _ZERO
+    k, _ = _running_sums(left)
+    arr = np.zeros(int(k[-1]) + 1, dtype=left.coeffs.dtype)
+    arr[k] = left.coeffs
+    product = _make(int(left.exps[0]), arr, left.bound, 4) * _materialize(right)
+    return _sparse(divide_by_quantum_integer(product, n))
+
+
+def identical(got: _Numerator, expected: _Numerator):
+    assert got.exps.dtype == expected.exps.dtype
+    assert got.coeffs.dtype == expected.coeffs.dtype
+    assert got.exps.tolist() == expected.exps.tolist()
+    assert got.coeffs.tolist() == expected.coeffs.tolist()
+    assert got.bound == expected.bound
+
+
+def referee_numerator(monkeypatch, e, colors, memo=None):
+    """colored_numerator with every connected sum in the tree taken by the
+    referee kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(jones, "_connsum", referee_connsum)
+        return colored_numerator(e, colors, memo)
+
+
+SCATTER, SHIFTED = 0, 10 ** 18  # _SCATTER_COST values that force one regime
+T23, T25, T27 = "cable(2,3;1;unknot)", "cable(2,5;1;unknot)", "cable(2,7;1;unknot)"
+ITERATED_A = "cable(2,5;1;cable(2,3;1;unknot))"
+ITERATED_B = "cable(3,2;1;cable(2,3;1;unknot))"
+
+
+@pytest.fixture(params=[None, SCATTER, SHIFTED], ids=["rule", "scatter", "shifted"])
+def regime(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(jones, "_SCATTER_COST", request.param)
+    return request.param
+
+
+def kernel_agrees(monkeypatch, text, color_vectors):
+    e = parse(text)
+    for colors in color_vectors:
+        identical(colored_numerator(e, colors), referee_numerator(monkeypatch, e, colors))
+
+
+class TestConnectedSumKernel:
+    """The sparse product N_l N_r divided by A^(2n) - A^(-2n) against the
+    referee kernel, entry for entry, in each regime of the product."""
+
+    def test_torus_knots_in_both_orders(self, monkeypatch, regime):
+        for left, right in ((T23, T25), (T25, T23)):
+            kernel_agrees(monkeypatch, f"connsum({left},1;{right},1)",
+                          [(n,) for n in range(2, 65)])
+
+    def test_connected_sum_of_a_connected_sum(self, monkeypatch, regime):
+        kernel_agrees(monkeypatch, f"connsum(connsum({T23},1;{T25},1),1;{T27},1)",
+                      [(2,), (5,), (16,), (33,)])
+        kernel_agrees(monkeypatch, f"connsum({T27},1;connsum({T23},1;{T25},1),1)",
+                      [(3,), (12,)])
+
+    def test_iterated_cables(self, monkeypatch, regime):
+        kernel_agrees(monkeypatch, f"connsum({ITERATED_A},1;{ITERATED_B},1)",
+                      [(n,) for n in range(1, 9)])
+
+    def test_with_the_unknot(self, monkeypatch, regime):
+        kernel_agrees(monkeypatch, f"connsum({T23},1;unknot,1)", [(1,), (2,), (7,)])
+        kernel_agrees(monkeypatch, f"connsum(unknot,1;{ITERATED_A},1)", [(1,), (4,)])
+
+    def test_joined_on_the_second_component(self, monkeypatch, regime):
+        kernel_agrees(monkeypatch, f"connsum(cable(0,2;1;unknot),2;{T23},1)",
+                      [(2, 3), (3, 5), (1, 4)])
+        kernel_agrees(monkeypatch, f"connsum({T25},1;cable(0,2;1;unknot),2)",
+                      [(3, 2), (6, 4)])
+
+    def test_negative_windings(self, monkeypatch, regime):
+        kernel_agrees(monkeypatch, f"connsum(cable(-2,3;1;unknot),1;{T25},1)",
+                      [(2,), (9,), (20,)])
+        kernel_agrees(monkeypatch, "connsum(cable(-2,5;1;cable(3,2;1;unknot)),1;"
+                                   "cable(-3,2;1;unknot),1)", [(3,), (6,)])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 150])  # 150: several rows a chunk
+    def test_scatter_in_small_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(jones, "_SCATTER_COST", SCATTER)
+        monkeypatch.setattr(jones, "_SCATTER_CHUNK", chunk)
+        kernel_agrees(monkeypatch, f"connsum({T23},1;{T25},1)", [(2,), (3,), (10,)])
+        kernel_agrees(monkeypatch, f"connsum(connsum({T23},1;{T25},1),1;unknot,1)",
+                      [(4,)])
+
+
+def numerator_of(J: LaurentPoly) -> _Numerator:
+    """The engine numerator J (A^2 - A^-2), with its exact bound."""
+    return _sparse(J * LaurentPoly.from_terms([(2, 1), (-2, -1)]))
+
+
+def ones_on_step_4(k: int) -> LaurentPoly:
+    """1 + A^4 + ... + A^(4(k - 1))."""
+    return quantum_integer(k).scale_shift(1, 2 * (k - 1))
+
+
+class TestConnectedSumGuards:
+    """Hand-made numerators fed to the kernel through the memo."""
+
+    E = ConnSum(Unknot(), 1, Twist(Unknot(), 1, 1), 1)
+
+    def kernel(self, left, right, n, monkeypatch=None):
+        """(kernel result, referee result) for the two numerators joined at n."""
+        def memo():
+            return {(self.E.left, (n,)): left, (self.E.right, (n,)): right}
+        got = colored_numerator(self.E, (n,), memo())
+        if monkeypatch is None:
+            return got, None
+        return got, referee_numerator(monkeypatch, self.E, (n,), memo())
+
+    @pytest.mark.parametrize("force", [SCATTER, SHIFTED])
+    def test_sums_straddle_int64(self, monkeypatch, force):
+        # N_l = c [n] (1 + x + ... + x^7) (A^2 - A^-2) and likewise N_r with
+        # d and [m]: 16 terms each, so sum |N_l| sum |N_r| = 256 c d, while a
+        # product coefficient reaches 16 c d (8 c d once divided).
+        monkeypatch.setattr(jones, "_SCATTER_COST", force)
+        dtypes = []
+        divide = jones._divide_binomial
+
+        def spy(buf, span, width):
+            dtypes.append(buf.dtype)
+            return divide(buf, span, width)
+
+        monkeypatch.setattr(jones, "_divide_binomial", spy)
+        n, m, k = 9, 11, 8
+        for c, d, buf_dtype, result_dtype in (
+                (2 ** 27, 2 ** 27 - 1, np.int64, np.int64),   # 256 c d < 2^62
+                (2 ** 27, 2 ** 27, object, np.int64),         # 256 c d = 2^62
+                (2 ** 30, 2 ** 30, object, object),           # 8 c d = 2^63
+                (2 ** 61, 1, object, object)):                # sum |N_l| = 2^65
+            left = numerator_of(quantum_integer(n) * ones_on_step_4(k) * c)
+            right = numerator_of(quantum_integer(m) * ones_on_step_4(k) * d)
+            dtypes.clear()
+            got, expected = self.kernel(left, right, n, monkeypatch)
+            assert dtypes[0] == buf_dtype
+            identical(got, expected)
+            assert got.coeffs.dtype == result_dtype
+            J = quantum_integer(m) * ones_on_step_4(k) ** 2 * (c * d)
+            assert _materialize(got) == J
+
+    def test_product_that_the_binomial_does_not_divide(self, monkeypatch):
+        three = numerator_of(quantum_integer(3))
+        two = numerator_of(quantum_integer(2))
+        for force in (SCATTER, SHIFTED):
+            monkeypatch.setattr(jones, "_SCATTER_COST", force)
+            with pytest.raises(NotDivisible, match="remainder"):
+                self.kernel(three, two, 4)
+            # Shorter than the divisor: (A^2 - A^-2)^2 over A^10 - A^-10.
+            one = numerator_of(LaurentPoly.one())
+            with pytest.raises(NotDivisible, match="span"):
+                self.kernel(one, one, 5)
+
+    def test_exponents_in_two_classes_mod_4(self):
+        mixed = _Numerator(np.array([-2, -1, 2, 3]), np.array([-1, -1, 1, 1]), 1)
+        with pytest.raises(NotDivisible, match="mod 4"):
+            self.kernel(mixed, numerator_of(quantum_integer(2)), 2)

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cablejones.trinomial import coefficient, trinomial_table
@@ -117,3 +118,23 @@ def test_int64_and_python_int_paths_match_the_loop():
         assert all(type(v) is int for v in values)
     big = trinomial_table((4,) * 34).values()
     assert max(big) > 2 ** 63 and sum(big) == 4 ** 34
+
+
+def convolve_table(colors):
+    """The table as a chain of np.convolve with all-ones vectors, in int64."""
+    arr = np.ones(colors[0], dtype=np.int64)
+    for n in colors[1:]:
+        arr = np.convolve(arr, np.ones(n, dtype=np.int64))
+    return arr
+
+
+def test_running_sums_match_the_convolution_chain():
+    rng = random.Random(11)
+    for g in range(1, 6):
+        for _ in range(8):
+            colors = tuple(rng.randint(1, 300) for _ in range(g))
+            table = trinomial_table(colors)
+            assert table.array.dtype == np.int64
+            assert table.values() == convolve_table(colors).tolist()
+    for colors in ((1,), (1, 1), (300, 1), (1, 300), (300,) * 5, (1, 2, 1, 300, 1)):
+        assert trinomial_table(colors).values() == convolve_table(colors).tolist()
