@@ -30,10 +30,13 @@ monomials, and for a signed n the same formula gives [-n] = -[n] and
 for links built by cabling and twisting N is a short list of signed
 monomials where J is a long dense run.  A numerator is held as ascending
 distinct exponents with their nonzero coefficients; a cable of the unknot
-is one vectorized sum over m, any other cable concatenates its shifted and
-scaled children and merges equal exponents once.  A connected sum has a
-numerator of its own: the numerator of J_l J_r / [n] is N_l J_r / [n], and
-since [n] (A^2 - A^-2) = A^(2n) - A^(-2n) it is N_l N_r / (A^(2n) - A^(-2n)).
+is one vectorized sum over m, and a cable of a torus knot (a cable of the
+unknot with one component) one vectorized double sum over m and the
+knot's own m', with |m p + 1| terms per m; any other cable concatenates its
+shifted and scaled children.  Each merges equal exponents once.  A
+connected sum has a numerator of its own: the numerator of J_l J_r / [n] is
+N_l J_r / [n], and since [n] (A^2 - A^-2) = A^(2n) - A^(-2n) it is
+N_l N_r / (A^(2n) - A^(-2n)).
 The two sparse numerators are multiplied into one zeroed buffer on the
 lattice lo + 4Z in one of two regimes, whichever counts fewer operations:
 scattering every product c_l c_r with np.add.at (two sparse sides, such as
@@ -210,17 +213,16 @@ def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
     reach = abs(rg) * w * (w * p + 2)  # bounds |rg m (m p + 2)|
 
     if isinstance(e.child, Unknot):
-        # The child colored j = m p + 1 (any sign) has numerator
-        # A^(2j) - A^(-2j), so the whole sum is one array expression.  Every
-        # intermediate, and rg and p themselves, stay within `top`.
+        # Every intermediate, and rg and p themselves, stay within `top`.
         top = max(reach + 2 * (w * p + 1), abs(rg), p)
         bound = table.total()
         coeffs = table.array.astype(_dtype(bound), copy=False)
         m = np.arange(-w, w + 1, 2, dtype=_dtype(top))
-        shift = rg * m * (m * p + 2)
-        j2 = 2 * (m * p + 1)
-        return _merge(np.concatenate((shift - j2, shift + j2)),
-                      np.concatenate((-coeffs, coeffs)), bound)
+        return _merge(*_unknot_cable(m, p, rg, coeffs), bound)
+    knot = e.child
+    if (isinstance(knot, Cable) and isinstance(knot.child, Unknot)
+            and cable_gcd(knot.r, knot.s) == 1):  # a torus knot
+        return _merge(*_torus_knot_terms(knot, table, p, rg, reach))
 
     terms = []
     bound = top = 0
@@ -243,18 +245,74 @@ def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
     return _merge(np.concatenate(exps), np.concatenate(coeffs), bound)
 
 
+def _unknot_cable(m: np.ndarray, p: int, rg: int, coeffs: np.ndarray):
+    """The unmerged (exps, coeffs) of the sum over k of
+    coeffs[k] A^(rg m[k] (m[k] p + 2)) N(unknot colored m[k] p + 1).
+
+    The unknot colored j (any sign) has numerator A^(2j) - A^(-2j), so this
+    is the closed form of every cable of the unknot.
+    """
+    shift = rg * m * (m * p + 2)
+    j2 = 2 * (m * p + 1)
+    return np.concatenate((shift - j2, shift + j2)), np.concatenate((-coeffs, coeffs))
+
+
+def _torus_knot_terms(knot: Cable, table, p: int, rg: int, reach: int):
+    """The unmerged (exps, coeffs, bound) of the cable, with trinomial table
+    `table`, of the torus knot `knot`; unmerged, so that the index arrays
+    here are freed before _merge runs.
+
+    The knot colored n is the cable of the unknot with p2 = s', rg2 = r'
+    and a table of ones over m2 = -(n - 1) .. n - 1 step 2, so the whole
+    cable is one double sum over (m, m2) with coefficient sign(j) C[m] for
+    j = m p + 1 and n = |j|.  At one exponent the terms from one m come
+    from distinct m2, so the merged sums stay within sum C[m] |j|, the bound
+    that summing the children one by one gives.  The largest |j| is
+    w2 + 1 = w p + 1, so every exponent and every intermediate stays within
+    `top`.
+    """
+    p2, rg2 = knot.s, knot.r
+    w = table.width
+    w2 = w * p
+    top = max(reach + abs(rg2) * w2 * (w2 * p2 + 2) + 2 * (w2 * p2 + 1),
+              abs(rg), p, abs(rg2), p2)
+    m = np.arange(-w, w + 1, 2, dtype=_dtype(top))
+    j = m * p + 1
+    sizes = np.abs(j).astype(np.int64)  # an m with j = 0 owns no terms
+    bound = int((table.array.astype(object) * sizes).sum())
+    weights = table.array.astype(_dtype(bound), copy=False)
+    coeffs = np.where(j > 0, weights, -weights)
+
+    # Every |j| - 1 has the parity of w2, so the knot colored |j| has the
+    # terms of the knot colored w2 + 1 with |m2| < |j|.  Each m takes them in
+    # ascending exponent, which leaves _merge one sorted run per m.
+    m2 = np.arange(-w2, w2 + 1, 2, dtype=m.dtype)
+    knot_exps, signs = _unknot_cable(m2, p2, rg2, np.ones(len(m2), dtype=np.int64))
+    # The stable kind is _merge's; the default one would load a second sort
+    # kernel, about 0.2 MB more resident memory for a small table.
+    order = np.argsort(knot_exps, kind="stable")
+    owner, term = np.nonzero(np.abs(np.concatenate((m2, m2)))[order] < sizes[:, None])
+    term = order[term]
+    exps = knot_exps[term]
+    exps += (rg * m * (m * p + 2))[owner]
+    coeffs = coeffs[owner]
+    coeffs *= signs[term]
+    return exps, coeffs, bound
+
+
 def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int) -> _Numerator:
     """Sum the coefficients of equal exponents and drop the zeros.
 
-    The terms at one exponent come from distinct m, each at most C[m] times
-    its child's bound, so every partial sum stays within `bound`.
+    At one exponent, the terms from one m add up in absolute value to at
+    most C[m] times its child's bound, so every partial sum stays within
+    `bound`.
     """
     order = np.argsort(exps, kind="stable")
     exps = exps[order]
     starts = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))
     sums = np.add.reduceat(coeffs[order], starts)
     keep = sums != 0
-    return _Numerator(exps[starts][keep], sums[keep], bound)
+    return _Numerator(exps[starts[keep]], sums[keep], bound)
 
 
 def _lattice_indices(num: _Numerator) -> np.ndarray:
@@ -275,12 +333,17 @@ def _running_sums(num: _Numerator) -> tuple[np.ndarray, np.ndarray]:
     the bound.  N is divisible exactly when its exponents lie in one class
     mod 4 and the last running sum is 0.
     """
-    k = _lattice_indices(num)
-    sums = np.cumsum(num.coeffs.astype(_dtype(num.bound), copy=False))
+    return _lattice_indices(num), _coefficient_sums(num.coeffs, num.bound)
+
+
+def _coefficient_sums(coeffs: np.ndarray, bound: int) -> np.ndarray:
+    """The running sums of coeffs, each within bound; NotDivisible unless
+    the last one is 0."""
+    sums = np.cumsum(coeffs.astype(_dtype(bound), copy=False))
     if sums[-1]:
         raise NotDivisible("A^2 - A^-2 does not divide the numerator: "
                            "its coefficients do not sum to 0")
-    return k, sums
+    return sums
 
 
 def _materialize(num: _Numerator) -> LaurentPoly:
@@ -362,13 +425,14 @@ def _sparse(p: LaurentPoly) -> _Numerator:
 
     Each running sum adds at most len(k) coefficients of p, so they run in
     int64 when len(k) bound(p) < 2^62; the bound kept is the larger of the
-    exact maxima of |N| and of the running sums, that is of |J|.
+    exact maxima of |N| and of the running sums, that is of |J|.  p lies on
+    a lattice of step 4, so its exponents need no check mod 4.
     """
     k = np.flatnonzero(p.coeffs)
+    coeffs = p.coeffs[k]
+    sums = _coefficient_sums(coeffs, len(k) * p._bound)
     exps = k.astype(_dtype(max(-p.val, p.maxdeg)), copy=False) * p.step + p.val
-    num = _Numerator(exps, p.coeffs[k], len(k) * p._bound)
-    _, sums = _running_sums(num)
-    return num._replace(bound=max(_max_abs(num.coeffs), _max_abs(sums)))
+    return _Numerator(exps, coeffs, max(_max_abs(coeffs), _max_abs(sums)))
 
 
 def normalized_jones(e: LinkExpr, colors, split_mult: int = 1,

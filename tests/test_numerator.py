@@ -14,6 +14,8 @@ J and division by [n] that it replaced, which must give the same numerator
 entry for entry in each regime of the product.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,7 @@ from cablejones.linkexpr import (
     Unknot,
     cable_gcd,
     component_count,
+    mirror_expr,
     parse,
 )
 from cablejones.trinomial import trinomial_table
@@ -156,7 +159,80 @@ class TestAgainstTheDenseRecursion:
         memo = {}
         for n in (3, 4, 3, 5):
             same(colored_jones(e, (n,), memo), referee(e, (n,)))
+        assert {(e, (n,)) for n in (3, 4, 5)} <= memo.keys()
+        assert colored_numerator(e, (4,), memo) is memo[e, (4,)]
+        # A cable of a torus knot is one sum; a child of any other shape is
+        # memoized on its own.
+        e = parse("cable(2,3;1;twist(1;1;cable(2,5;1;unknot)))")
+        for n in (3, 5):
+            same(colored_jones(e, (n,), memo), referee(e, (n,)))
         assert (e.child, (13,)) in memo
+
+
+def unbatched(e):
+    """e with every torus knot under a cable wrapped in a zero twist, which
+    makes the engine expand that cable child by child."""
+    if isinstance(e, Cable):
+        child = e.child
+        if (isinstance(child, Cable) and isinstance(child.child, Unknot)
+                and cable_gcd(child.r, child.s) == 1):
+            return replace(e, child=Twist(child, 1, 0))
+        return replace(e, child=unbatched(child))
+    if isinstance(e, Twist):
+        return replace(e, child=unbatched(e.child))
+    if isinstance(e, ConnSum):
+        return replace(e, left=unbatched(e.left), right=unbatched(e.right))
+    return e
+
+
+def batched_agrees(e, *color_vectors):
+    """The engine's numerator is the one that expanding each cable child by
+    child gives (exponents, coefficients, dtypes and bound), and its J is
+    the referee's."""
+    if isinstance(e, str):
+        e = parse(e)
+    for colors in color_vectors:
+        got = colored_numerator(e, colors)
+        identical(got, colored_numerator(unbatched(e), colors))
+        same(_materialize(got), referee(e, colors))
+
+
+ITERATED = "cable(2,13;1;cable(2,3;1;unknot))"
+
+
+class TestCableOverATorusKnot:
+    """A cable of a torus knot is one double sum; it must give the numerator
+    that the term-by-term expansion gives, bound included."""
+
+    def test_iterated_cable_and_its_mirror(self):
+        e = parse(ITERATED)
+        for knot in (e, mirror_expr(e)):
+            for root in (knot, Twist(knot, 1, 3), Twist(knot, 1, -2)):
+                batched_agrees(root, (1,), (2,), (5,), (9,))
+
+    def test_outer_block_of_two_colors(self):
+        batched_agrees("cable(2,4;1;cable(2,3;1;unknot))", (5, 6), (1, 1), (3, 2))
+        batched_agrees("cable(-6,4;1;cable(3,2;1;unknot))", (4, 3), (2, 5))
+
+    def test_child_colors_through_zero(self):
+        # p = 1: the child color m + 1 passes 0 and goes negative.
+        batched_agrees("cable(1,1;1;cable(2,3;1;unknot))", (1,), (2,), (5,), (8,))
+        batched_agrees("cable(-3,1;1;cable(2,5;1;unknot))", (1,), (2,), (5,), (8,))
+
+    def test_inner_windings(self):
+        batched_agrees("cable(2,3;1;cable(-2,3;1;unknot))", (2,), (5,))
+        batched_agrees("cable(2,3;1;cable(0,1;1;unknot))", (2,), (5,))
+        batched_agrees("cable(-2,5;1;cable(-3,4;1;unknot))", (3,), (4,))
+
+    def test_three_level_chain(self):
+        batched_agrees("cable(2,3;1;cable(2,5;1;cable(3,2;1;unknot)))", (2,), (3,), (4,))
+        batched_agrees("cable(3,2;1;cable(-2,3;1;cable(2,5;1;unknot)))", (2,), (3,))
+
+    def test_connected_sums(self):
+        batched_agrees("cable(2,3;1;connsum(cable(2,3;1;unknot),1;"
+                       "cable(-2,5;1;unknot),1))", (2,), (4,))
+        batched_agrees(f"connsum({ITERATED},1;cable(3,2;1;cable(2,5;1;unknot)),1)",
+                       (2,), (3,), (5,))
 
 
 class TestCoefficientGuards:
@@ -181,6 +257,16 @@ class TestCoefficientGuards:
         assert got.max_abs_coeff() >= 2 ** 63 and got.coeffs.dtype == object
         same(got, referee(e, colors))
         assert got == quantum_integer(3) ** 48
+
+    def test_cable_of_a_torus_knot_past_int64(self):
+        # The table total 3^48 is past 2^62 already; for 61 colors 2 it is
+        # 2^61, and only the bound sum C[m] |m + 1| passes 2^62.
+        e = parse("cable(0,48;1;cable(1,2;1;unknot))")
+        batched_agrees(e, (3,) * 48)
+        e = parse("cable(0,61;1;cable(1,2;1;unknot))")
+        assert trinomial_table((2,) * 61).total() < 2 ** 62
+        assert colored_numerator(e, (2,) * 61).bound >= 2 ** 62
+        batched_agrees(e, (2,) * 61)
 
     def test_cable_of_a_cable_past_int64(self):
         e = parse("cable(1,2;1;cable(0,48;1;unknot))")
@@ -223,6 +309,18 @@ class TestExponentGuards:
             same(colored_jones(Twist(Unknot(), 1, f), (2,)), self.twisted(2, f))
         e = Twist(Twist(Unknot(), 1, 2 ** 59), 1, 2 ** 59)
         same(colored_jones(e, (3,)), self.twisted(3, 2 ** 60))
+
+    def test_cable_of_a_torus_knot(self):
+        # The knot is the R-framed unknot, so its (1,1)-cable is R + 1 twists.
+        e = Cable(Cable(Unknot(), 1, self.R, 1), 1, 1, 1)
+        for n in (2, 3, 5):
+            got = colored_numerator(e, (n,))
+            assert got.exps.dtype == object
+            identical(got, colored_numerator(unbatched(e), (n,)))
+            same(_materialize(got), self.twisted(n, self.R + 1))
+        # Colored 1, only m = m' = 0 is left, but r' still exceeds int64.
+        e = Cable(Cable(Unknot(), 1, 2 ** 70 + 1, 3), 1, 1, 1)
+        assert colored_jones(e, (1,)) == LaurentPoly.one()
 
     def test_connected_sum_inside_a_cable(self):
         e = Cable(ConnSum(Twist(Unknot(), 1, self.R), 1, Unknot(), 1), 1, 1, 1)
