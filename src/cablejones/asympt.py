@@ -1,26 +1,24 @@
 """Root-of-unity evaluation, limits, and volume-conjecture decay tables.
 
 The normalized invariant J/[N]^k of a link colored all-N is evaluated at
-A0 = exp(i*pi/2N).  The dense path takes the quotient from
-:func:`~cablejones.jones.normalized_jones`: when [N]^k divides exactly the
-quotient polynomial is evaluated directly; otherwise the ratio is a 0/0
-form at A0 and the limit is taken by l'Hospital, differentiating numerator
-and denominator together until the denominator stops vanishing.
-
-For k = 1 the value comes from the engine's sparse numerator
-Num = J (A^2 - A^-2), with no dense J: J/[N] = Num / (A^(2N) - A^(-2N)), so
+A0 = exp(i*pi/2N) from the engine's sparse numerator Num = J (A^2 - A^-2).
+For k = 1 there is no dense J: J/[N] = Num / (A^(2N) - A^(-2N)), so
 P = A^(2N) Num equals Q (A^M - 1) with M = 4N and Q = J/[N].  Writing each
 exponent of P as M q + r splits P into A^r P_r(A^M) with P_r(u) = sum c u^q;
 A^M - 1 divides P exactly when every column sum S0[r] = P_r(1) is 0, and
 then Q(A0) = sum_r Q_r(1) A0^r with Q_r(1) = P_r'(1) = S1[r] = sum c q.  So
 one exact integer fold decides the division and gives the value, and J's
 degrees and largest coefficient are read off Num's ends and running sums.
-Since A0^(2N) = -1 the columns fold once more, to S1[r] - S1[r + 2N].  A
-value within the float error bound of 0 is taken again from the exact
-remainder of sum S1[r] x^r mod the cyclotomic polynomial Phi_M, which is 0
-exactly when the value is.  Any other case (k > 1, or a fold that does not
-divide) takes the dense path above.  Single values and growth rows go
-through the same choice.
+Since A0^(2N) = -1 the columns fold once more, to S1[r] - S1[r + 2N].  Any
+other case (k > 1, or a fold that does not divide) divides the dense J by
+[N] while it divides and evaluates the quotient, or takes the l'Hospital
+limit of a ratio left 0/0 at A0.  Single values and growth rows go through
+the same choice.
+
+Whether a value at A0 is 0 is decided exactly, by one test: a value within
+the float error bound of 0 is taken again from the exact remainder of its
+integer residue columns mod the cyclotomic polynomial Phi_M, which is 0
+exactly when the value is.  So there is no tolerance to set.
 
 The decay diagnostic for a family of colorings is
 vc_value = (2 pi / N) * ln |J'_N(A0)|, which tends to zero exactly when
@@ -39,9 +37,10 @@ import numpy as np
 
 from .jones import (
     DeferredRatio,
-    _running_sums,
+    _coefficient_sums,
+    _divide_out,
+    _materialize,
     colored_numerator,
-    normalized_jones,
 )
 from .laurent import (
     ComputationError,
@@ -59,7 +58,6 @@ __all__ = [
     "GrowthRecord",
     "InsufficientData",
     "ModerationReport",
-    "VANISH_TOL",
     "VanishingInvariant",
     "eval_normalized_at_root",
     "growth_table",
@@ -68,9 +66,6 @@ __all__ = [
     "vanishing_order",
 ]
 
-# A value counts as zero at A0 when it is below VANISH_TOL relative to the
-# sum of |coefficients|, the exact bound for |P| on the unit circle.
-VANISH_TOL = 1e-8
 MAX_LHOSPITAL_DEPTH = 8
 
 
@@ -91,75 +86,71 @@ class VanishingInvariant(ComputationError, ArithmeticError):
     record has no degrees, coefficients or decay rate to report."""
 
 
-def _vanishes(p: LaurentPoly, value: complex, tol: float) -> bool:
-    scale = max(1.0, float(p.abs_coeff_sum()))
-    return abs(value) <= tol * scale
+def _at_root(p: LaurentPoly, pt: RootOfUnityPoint) -> complex:
+    """p(A0): eval_at_root's value, taken exactly when it is near 0."""
+    start, sums = p._residue_sums(pt.order)
+    columns = np.zeros(pt.order, dtype=object)  # so sum |columns| is exact
+    columns[(start + p.step * np.arange(len(sums))) % pt.order] = sums
+    return _exact_near_zero(p.eval_at_root(pt), columns, pt.N)
 
 
 def lhospital_limit(numerator: LaurentPoly, denominator: LaurentPoly,
-                    pt: RootOfUnityPoint, tol: float = VANISH_TOL,
+                    pt: RootOfUnityPoint,
                     max_depth: int = MAX_LHOSPITAL_DEPTH) -> complex:
     """lim_{A -> A0} numerator / denominator by repeated differentiation.
 
-    At each stage where the denominator still vanishes numerically the
-    numerator must vanish too (relative to its own coefficient scale);
-    otherwise the true limit is infinite and DivergentLimit is raised.
+    At each stage where the denominator vanishes at A0 the numerator must
+    vanish too; otherwise the true limit is infinite and DivergentLimit is
+    raised.  Both tests are exact.
     """
     if denominator.is_zero():
         raise ZeroDivisionError("denominator is identically zero")
     num, den = numerator, denominator
-    for _ in range(max_depth + 1):
-        dv = den.eval_at_root(pt)
-        if not _vanishes(den, dv, tol):
-            return num.eval_at_root(pt) / dv
-        nv = num.eval_at_root(pt)
-        if not _vanishes(num, nv, tol):
-            raise DivergentLimit(
-                "numerator does not vanish where the denominator does")
+    for depth in range(max_depth + 1):
+        dv = _at_root(den, pt)
+        if dv:
+            nv = _at_root(num, pt)
+            return nv / dv if nv else 0j
+        if _at_root(num, pt):
+            raise DivergentLimit(f"at N={pt.N} the numerator does not vanish where "
+                                 f"the denominator does, after {depth} derivatives")
         num = num.derivative()
         den = den.derivative()
-    raise DepthExceeded(f"no nonvanishing denominator within {max_depth} derivatives")
+    raise DepthExceeded(f"at N={pt.N} still vanishing after {max_depth} derivatives")
 
 
 def vanishing_order(p: LaurentPoly, pt: RootOfUnityPoint,
-                    tol: float = VANISH_TOL,
                     max_depth: int = MAX_LHOSPITAL_DEPTH) -> int:
     """Order of the zero of p at A0: derivatives taken until one survives."""
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes to every order")
     cur = p
     for k in range(max_depth + 1):
-        if not _vanishes(cur, cur.eval_at_root(pt), tol):
+        if _at_root(cur, pt):
             return k
         cur = cur.derivative()
-    raise DepthExceeded(f"still vanishing after {max_depth} derivatives")
+    raise DepthExceeded(f"at N={pt.N} still vanishing after {max_depth} derivatives")
 
 
 def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
                             memo: dict | None = None) -> complex:
     """Value of J(e) / [n]^split_mult at A0(n), all components colored n."""
-    if memo is None:
-        memo = {}
-    num = colored_numerator(e, (n,) * component_count(e), memo)
-    return _value(e, n, split_mult, memo, num)
+    return _value(colored_numerator(e, (n,) * component_count(e), memo), n, split_mult)
 
 
-def _value(e: LinkExpr, n: int, split_mult: int, memo: dict, num) -> complex:
-    """J(e) / [n]^split_mult at A0(n), given J's numerator `num` computed
-    with `memo`: the sparse fold when it applies, else the dense path."""
+def _value(num, n: int, split_mult: int) -> complex:
+    """J / [n]^split_mult at A0(n), given J's numerator `num`: the sparse
+    fold when it applies, else the dense path."""
     if split_mult == 1:
         value = _sparse_value(num, n)
         if value is not None:
             return value
-    # Seeded with num, the memo hands normalized_jones its root at once.
-    colors = (n,) * component_count(e)
-    memo[e, colors] = num
     pt = RootOfUnityPoint(n)
-    result = normalized_jones(e, colors, split_mult, memo)
+    result = _divide_out(_materialize(num), n, split_mult)
     if isinstance(result, DeferredRatio):
         return lhospital_limit(result.numerator,
                                quantum_integer(result.color) ** result.power, pt)
-    return result.eval_at_root(pt)
+    return _at_root(result, pt)
 
 
 @dataclass(frozen=True)
@@ -205,18 +196,25 @@ def _sparse_value(num, n: int) -> complex | None:
     # A0^(2n) = -1: fold S1 mod x^(2n) + 1, which Phi_4n divides.  Each term
     # c q lands in one column, so the differences stay within the same bound.
     s1 = s1[:2 * n] - s1[2 * n:]
-    powers = RootOfUnityPoint(n).powers()
-    value = complex(np.dot(s1, powers[:2 * n]))
-    # The float dot errs by at most (m + 64) 2^-52 sum |S1|: each S1 converts
-    # and each product rounds within 2^-53 relative, each power of A0 lies
-    # within 32 * 2^-53 of exact, the sum adds (2n - 1) 2^-53 of the total,
-    # and the two components double that.  A value that small is taken
-    # again from the exact remainder mod Phi_4n, which is 0 exactly when the
-    # value is.
-    if abs(value) <= (m + 64) * 2.0 ** -52 * float(np.abs(s1).sum()):
-        rem = _cyclotomic_remainder(s1, m)
-        value = complex(np.dot(rem, powers[:len(rem)])) if rem.any() else 0j
-    return value
+    return _exact_near_zero(complex(np.dot(s1, RootOfUnityPoint(n).powers()[:2 * n])),
+                            s1, n)
+
+
+def _exact_near_zero(value: complex, columns: np.ndarray, n: int) -> complex:
+    """value, the float dot of the integer `columns` (4n or 2n, with
+    sum |columns| exact) with A0(n)^0, A0(n)^1, ...; 0j when the dot is 0.
+
+    The float dot errs by at most (m + 64) 2^-52 sum |columns|, m = 4n: each
+    column converts and each product rounds within 2^-53 relative, each
+    power of A0 lies within 32 * 2^-53 of exact, the sum adds (m - 1) 2^-53
+    of the total, and the two components double that.  A value that small
+    is taken again from the exact remainder mod Phi_m, 0 exactly when it is.
+    """
+    m = 4 * n
+    if abs(value) > (m + 64) * 2.0 ** -52 * float(np.abs(columns).sum()):
+        return value
+    rem = _cyclotomic_remainder(columns, m)
+    return complex(np.dot(rem, RootOfUnityPoint(n).powers()[:len(rem)])) if rem.any() else 0j
 
 
 def _cyclotomic(m: int) -> np.ndarray:
@@ -254,12 +252,14 @@ def _cyclotomic(m: int) -> np.ndarray:
 
 
 def _cyclotomic_remainder(s: np.ndarray, m: int) -> np.ndarray:
-    """sum(s[r] x^r) mod Phi_m, exactly: it has the same value at A0, and is
-    zero exactly when that value is.  For m a power of two Phi_m is
-    x^(m/2) + 1, and an s of length m/2 is its own remainder."""
+    """sum(s[r] x^r) mod Phi_m, exactly, for m even and len(s) m or <= m/2:
+    it has the same value at A0, and is zero exactly when that value is.  For
+    m a power of two Phi_m is x^(m/2) + 1, so a folded s is its remainder."""
     phi = _cyclotomic(m)
     deg = len(phi) - 1
     rem = s.astype(object)
+    if len(rem) == m:  # Phi_m divides x^(m/2) + 1
+        rem = rem[:m // 2] - rem[m // 2:]
     for i in range(len(rem) - 1, deg - 1, -1):
         if rem[i]:
             rem[i - deg: i + 1] -= rem[i] * phi
@@ -267,14 +267,13 @@ def _cyclotomic_remainder(s: np.ndarray, m: int) -> np.ndarray:
 
 
 def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
-    memo: dict = {}
-    num = colored_numerator(e, (n,) * component_count(e), memo)
+    num = colored_numerator(e, (n,) * component_count(e))
     if not len(num.exps):
         raise VanishingInvariant(f"invariant vanishes identically at N={n}")
     # J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the
     # running sums of the numerator, and the last running sum is 0.
-    _, sums = _running_sums(num)
-    abs_eval = abs(_value(e, n, split_mult, memo, num))
+    sums = _coefficient_sums(num.coeffs, num.bound)
+    abs_eval = abs(_value(num, n, split_mult))
     vc = (2 * math.pi / n) * math.log(abs_eval) if abs_eval > 0 else None
     return GrowthRecord(n, int(num.exps[-1]) - 2, int(num.exps[0]) + 2,
                         _max_abs(sums[:-1]), abs_eval, vc)

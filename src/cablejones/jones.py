@@ -324,18 +324,6 @@ def _lattice_indices(num: _Numerator) -> np.ndarray:
     return (offsets // 4).astype(np.int64, copy=False)
 
 
-def _running_sums(num: _Numerator) -> tuple[np.ndarray, np.ndarray]:
-    """(k, S) for a nonzero numerator: its exponents as indices k on the
-    lattice lo + 4Z and the running sums S of its coefficients.
-
-    N[lo + 4k] = J[k - 1] - J[k] for J indexed from A^(lo + 2), so J is -S[i]
-    on k[i] <= k < k[i + 1].  Each running sum is a coefficient of J, within
-    the bound.  N is divisible exactly when its exponents lie in one class
-    mod 4 and the last running sum is 0.
-    """
-    return _lattice_indices(num), _coefficient_sums(num.coeffs, num.bound)
-
-
 def _coefficient_sums(coeffs: np.ndarray, bound: int) -> np.ndarray:
     """The running sums of coeffs, each within bound; NotDivisible unless
     the last one is 0."""
@@ -347,10 +335,18 @@ def _coefficient_sums(coeffs: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _materialize(num: _Numerator) -> LaurentPoly:
-    """The dense J = N / (A^2 - A^-2), on step 4."""
+    """The dense J = N / (A^2 - A^-2), on step 4.
+
+    With k the lattice indices of N's exponents and S the running sums of its
+    coefficients, N[lo + 4k] = J[k - 1] - J[k] for J indexed from A^(lo + 2),
+    so J is -S[i] on k[i] <= k < k[i + 1].  Each running sum is a coefficient
+    of J, within the bound.  N is divisible exactly when its exponents lie in
+    one class mod 4 and the last running sum is 0.
+    """
     if not len(num.exps):
         return LaurentPoly.zero()
-    k, sums = _running_sums(num)
+    k = _lattice_indices(num)
+    sums = _coefficient_sums(num.coeffs, num.bound)
     return _make(int(num.exps[0]) + 2, np.repeat(-sums[:-1], np.diff(k)), num.bound, 4)
 
 
@@ -447,13 +443,17 @@ def normalized_jones(e: LinkExpr, colors, split_mult: int = 1,
     colors = tuple(colors)
     if not colors or any(c != colors[0] for c in colors):
         raise ValueError("normalization requires all components to share one color")
+    return _divide_out(colored_jones(e, colors, memo), colors[0], split_mult)
+
+
+def _divide_out(J: LaurentPoly, n: int, split_mult: int) -> LaurentPoly | DeferredRatio:
+    """J / [n]^split_mult, or a DeferredRatio of what is left once [n] stops
+    dividing."""
     if split_mult < 1:
         raise ValueError("split_mult must be >= 1")
-    n = colors[0]
-    result = colored_jones(e, colors, memo)
     for k in range(split_mult):
         try:
-            result = divide_by_quantum_integer(result, n)
+            J = divide_by_quantum_integer(J, n)
         except NotDivisible:
-            return DeferredRatio(result, n, split_mult - k)
-    return result
+            return DeferredRatio(J, n, split_mult - k)
+    return J

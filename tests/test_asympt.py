@@ -17,18 +17,27 @@ from cablejones.laurent import LaurentPoly, RootOfUnityPoint, quantum_integer
 from cablejones.linkexpr import parse
 
 
+def near_zero(n: int) -> LaurentPoly:
+    """2^60 [n] + 1: exactly 1 at A0(n), but its float value there errs by
+    far more than 1, and 1 is below any tolerance relative to its
+    coefficients."""
+    return quantum_integer(n) * 2 ** 60 + 1
+
+
 class TestLHospital:
     def test_doubled_color_ratio(self):
         # [2N]/[N] = A^(2N) + A^(-2N) -> -2 at A0.
-        for n in (2, 3, 5):
+        for n in (2, 3, 5, 6, 12):
             v = lhospital_limit(quantum_integer(2 * n), quantum_integer(n),
                                 RootOfUnityPoint(n))
             assert abs(v + 2) < 1e-9
 
     def test_nonvanishing_denominator_is_plain_eval(self):
         p = LaurentPoly.from_terms([(3, 2), (0, -1)])
-        pt = RootOfUnityPoint(4)
-        assert lhospital_limit(p, LaurentPoly.one(), pt) == p.eval_at_root(pt)
+        for n in (4, 6, 12):
+            pt = RootOfUnityPoint(n)
+            for den in (LaurentPoly.one(), near_zero(n)):
+                assert lhospital_limit(p, den, pt) == p.eval_at_root(pt)
 
     def test_equal_orders(self):
         for n in (2, 3, 5):
@@ -37,17 +46,22 @@ class TestLHospital:
             assert abs(v - 1) < 1e-9
 
     def test_higher_numerator_order_gives_zero(self):
-        v = lhospital_limit(quantum_integer(3) ** 2, quantum_integer(3),
-                            RootOfUnityPoint(3))
-        assert abs(v) < 1e-6
+        for n in (3, 6, 12):
+            for a, b in ((2, 1), (3, 2)):
+                v = lhospital_limit(quantum_integer(n) ** a, quantum_integer(n) ** b,
+                                    RootOfUnityPoint(n))
+                assert v == 0 and str(v) == "0j", (n, a, b)  # no signed zero
 
     def test_divergent(self):
-        with pytest.raises(DivergentLimit):
+        with pytest.raises(DivergentLimit, match="N=3 .* after 1 derivatives"):
             lhospital_limit(quantum_integer(3), quantum_integer(3) ** 2,
                             RootOfUnityPoint(3))
+        for n in (6, 12):
+            with pytest.raises(DivergentLimit, match=f"N={n} .* after 0 derivatives"):
+                lhospital_limit(near_zero(n), quantum_integer(n), RootOfUnityPoint(n))
 
     def test_depth_cap(self):
-        with pytest.raises(DepthExceeded):
+        with pytest.raises(DepthExceeded, match="N=2 .* after 8 derivatives"):
             lhospital_limit(quantum_integer(2) ** 9, quantum_integer(2) ** 9,
                             RootOfUnityPoint(2))
 
@@ -61,12 +75,16 @@ class TestVanishingOrder:
     def test_unlink_orders_are_exact(self):
         for s in (1, 2, 3):
             e = parse("unknot") if s == 1 else parse(f"cable(0,{s};1;unknot)")
-            for n in range(2, 9):
+            for n in (*range(2, 9), 12):
                 J = colored_jones(e, (n,) * s)
                 assert vanishing_order(J, RootOfUnityPoint(n)) == s, (s, n)
+        with pytest.raises(DepthExceeded, match="N=6 .* after 8 derivatives"):
+            vanishing_order(quantum_integer(6) ** 9, RootOfUnityPoint(6))
 
     def test_nonvanishing(self):
         assert vanishing_order(LaurentPoly.one(), RootOfUnityPoint(3)) == 0
+        for n in (6, 12):
+            assert vanishing_order(near_zero(n), RootOfUnityPoint(n)) == 0
 
 
 class TestEvalNormalized:

@@ -12,7 +12,7 @@ and values to 1e-12 relative; a value that is exactly zero comes out as 0.
 import numpy as np
 import pytest
 
-from cablejones import asympt, jones
+from cablejones import asympt
 from cablejones.asympt import (
     DivergentLimit,
     _cyclotomic,
@@ -24,6 +24,7 @@ from cablejones.asympt import (
 )
 from cablejones.jones import (
     DeferredRatio,
+    _materialize,
     _Numerator,
     _sparse,
     colored_jones,
@@ -178,6 +179,11 @@ class TestExactZero:
         for r in rows[1:]:
             assert r.abs_eval == 0.0 and r.vc_value is None
         assert eval_normalized_at_root(parse("cable(0,2;1;unknot)"), 4) == 0j
+        # At split multiplicity 2, J/[N]^2 = [N] is a dense quotient.
+        three = parse("cable(0,3;1;unknot)")
+        for r in growth_table(three, [2, 3, 6], split_mult=2):
+            assert r.abs_eval == 0.0 and r.vc_value is None
+        assert eval_normalized_at_root(three, 6, 2) == 0j
 
     def test_cyclotomic_polynomials(self):
         for m, phi in ((4, [1, 0, 1]), (8, [1, 0, 0, 0, 1]), (12, [1, 0, -1, 0, 1]),
@@ -233,6 +239,14 @@ class TestExactZero:
         assert [(r[4], r[5]) for r in rows] == [("1", "0"), ("0", ""), ("0", "")]
         assert main(["eval", "--expr", "cable(0,2;1;unknot)", "--color-all", "4"]) == 0
         assert capsys.readouterr().out.strip() == "0+0i"
+        assert main(["growth", "--expr", "cable(0,3;1;unknot)", "--n", "2,3,6",
+                     "--split-mult", "2"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[4], r[5]) for r in rows] == [("0", "")] * 3
+        assert main(["eval", "--expr", "cable(0,3;1;unknot)", "--color-all", "6",
+                     "--split-mult", "2"]) == 0
+        assert capsys.readouterr().out.strip() == "0+0i"
 
 
 class TestGuards:
@@ -262,7 +276,7 @@ class TestGuards:
         J = LaurentPoly.from_terms([(4, 1), (-4, 1)])
         num = patch_numerator(monkeypatch, [-6, -2, 2, 6], [-1, 1, -1, 1], 2)
         assert _sparse_value(num, 4) is None
-        monkeypatch.setattr(jones, "colored_jones", lambda e, colors, memo=None: J)
+        assert _materialize(num) == J
         [row] = growth_table(parse("unknot"), [4])
         expected = lhospital_limit(J, quantum_integer(4), RootOfUnityPoint(4))
         assert row.abs_eval == pytest.approx(abs(expected), rel=1e-12)
@@ -281,7 +295,7 @@ class TestGuards:
         num = patch_numerator(monkeypatch, exps, coeffs, 2 ** 61)
         assert _sparse_value(num, n) is None
         J = LaurentPoly.from_terms([(e + 2, -2 ** 61) for e in exps[::2]])
-        monkeypatch.setattr(jones, "colored_jones", lambda e, colors, memo=None: J)
+        assert _materialize(num) == J
         with pytest.raises(DivergentLimit):
             growth_table(parse("unknot"), [n])
 

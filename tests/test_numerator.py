@@ -22,9 +22,9 @@ import pytest
 from cablejones import jones
 from cablejones.jones import (
     _ZERO,
+    _lattice_indices,
     _materialize,
     _Numerator,
-    _running_sums,
     _sparse,
     colored_jones,
     colored_numerator,
@@ -368,7 +368,7 @@ def referee_connsum(e, colors, memo):
     right = jones._jones(e.right, tail[:e.j - 1] + (n,) + tail[e.j - 1:], memo)
     if not len(left.exps) or not len(right.exps):
         return _ZERO
-    k, _ = _running_sums(left)
+    k = _lattice_indices(left)
     arr = np.zeros(int(k[-1]) + 1, dtype=left.coeffs.dtype)
     arr[k] = left.coeffs
     product = _make(int(left.exps[0]), arr, left.bound, 4) * _materialize(right)
