@@ -1,19 +1,18 @@
 """Root-of-unity evaluation, limits, and volume-conjecture decay tables.
 
 The normalized invariant J/[N]^k of a link colored all-N is evaluated at
-A0 = exp(i*pi/2N) from the engine's sparse numerator Num = J (A^2 - A^-2).
-For k = 1 there is no dense J: J/[N] = Num / (A^(2N) - A^(-2N)), so
-P = A^(2N) Num equals Q (A^M - 1) with M = 4N and Q = J/[N].  Writing each
-exponent of P as M q + r splits P into A^r P_r(A^M) with P_r(u) = sum c u^q;
-A^M - 1 divides P exactly when every column sum S0[r] = P_r(1) is 0, and
-then Q(A0) = sum_r Q_r(1) A0^r with Q_r(1) = P_r'(1) = S1[r] = sum c q.  So
-one exact integer fold decides the division and gives the value, and J's
-degrees and largest coefficient are read off Num's ends and running sums.
-Since A0^(2N) = -1 the columns fold once more, to S1[r] - S1[r + 2N].  Any
-other case (k > 1, or a fold that does not divide) divides the dense J by
-[N] while it divides and evaluates the quotient, or takes the l'Hospital
-limit of a ratio left 0/0 at A0.  Single values and growth rows go through
-the same choice.
+A0 = exp(i*pi/2N) from the engine's sparse numerator Num = J (A^2 - A^-2),
+with no dense J: J/[N]^k = X / D with X = Num (A^2 - A^-2)^(k-1) and
+D = (A^(2N) - A^(-2N))^k.  Put A = A0 e^s: D = (-4N s)^k (1 + O(s^2)), and
+X = sum_j M_j s^j / j! with M_j = sum c e^j A0^e over X's terms c A^e, the
+moments of theta = A d/dA.  So the limit is finite exactly when M_j = 0 for
+every j < k, and is then M_k / (k! (-4N)^k); otherwise DivergentLimit is
+raised.  With e = M q + r, M = 4N, M_j = sum_r A0^r sum_{i<=j} C(j,i) M^i
+r^(j-i) X_i[r] over integer columns X_i[r] = sum c q^i, so each zero test is
+exact; when X_0 .. X_(z-1) are identically 0, M_j carries the factor M^z.
+At k = 1 with [N] dividing J, X_0 = 0 and the value is -sum_r X_1[r] A0^r.
+As A0^(2N) = -1, columns fold once more, to X[r] - X[r + 2N].  J's degrees
+and largest coefficient are read off Num's ends and running sums.
 
 Whether a value at A0 is 0 is decided exactly, by one test: a value within
 the float error bound of 0 is taken again from the exact remainder of its
@@ -35,20 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jones import (
-    DeferredRatio,
-    _coefficient_sums,
-    _divide_out,
-    _materialize,
-    colored_numerator,
-)
+from .jones import _abs_sum, _coefficient_sums, _top, colored_numerator
 from .laurent import (
     ComputationError,
     LaurentPoly,
     RootOfUnityPoint,
     _dtype,
     _max_abs,
-    quantum_integer,
 )
 from .linkexpr import LinkExpr, component_count
 
@@ -139,18 +131,58 @@ def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
 
 
 def _value(num, n: int, split_mult: int) -> complex:
-    """J / [n]^split_mult at A0(n), given J's numerator `num`: the sparse
-    fold when it applies, else the dense path."""
-    if split_mult == 1:
-        value = _sparse_value(num, n)
-        if value is not None:
-            return value
-    pt = RootOfUnityPoint(n)
-    result = _divide_out(_materialize(num), n, split_mult)
-    if isinstance(result, DeferredRatio):
-        return lhospital_limit(result.numerator,
-                               quantum_integer(result.color) ** result.power, pt)
-    return _at_root(result, pt)
+    """J / [n]^split_mult at A0(n) from J's numerator, by the module docstring's moments."""
+    if split_mult < 1:
+        raise ValueError("split_mult must be >= 1")
+    k, m = split_mult, 4 * n
+    x = _moment_columns(num, m, k)
+    z = next((i for i in range(k) if x[i].any()), k)
+    powers = RootOfUnityPoint(n).powers()[:2 * n]
+    for j in range(z, k + 1):
+        # M_j = m^z sum_r U[r] A0^r, U = sum_{z <= i <= j} C(j, i) m^(i - z) r^(j - i) X_i
+        u = x[z] if j == z else sum(
+            math.comb(j, i) * m ** (i - z) * np.arange(m, dtype=object) ** (j - i) * x[i]
+            for i in range(z, j + 1))
+        # A0^(2n) = -1; each term of X lands in one column, so u keeps its bound.
+        u = u[:2 * n] - u[2 * n:]
+        value = _exact_near_zero(complex(np.dot(u, powers)), u, n)
+        if j < k and value:
+            raise DivergentLimit(f"at N={n} J/[N]^{k} has no finite limit: "
+                                 f"its theta-moment {j} does not vanish")
+    return value * (-1) ** k / (math.factorial(k) * m ** (k - z)) + 0j  # + 0j: no -0
+
+
+_CHUNK = 1 << 18  # terms per pass of _moment_columns: temporaries of a few MB
+
+
+def _moment_columns(num, m: int, k: int) -> np.ndarray:
+    """X_i[r] = sum c q^i for i <= k, over the terms c A^(m q + r) of
+    X = num (A^2 - A^-2)^(k - 1): k copies of num, each shifted by
+    A^(2(k - 1) - 4t) and signed (-1)^t C(k - 1, t), added in turn."""
+    exps, coeffs, bound = num
+    # A copy's |q| <= (top + 2k - 2) // m + 1 <= qmax as m >= 4, and the
+    # copies' coefficients add up to at most 2^(k-1) sum |c|, so every column
+    # sum is within 2^(k-1) sum |c| qmax^k <= 2^(k-1) len bound qmax^k.
+    qmax = _top(num) // m + k
+    dtype = _dtype(2 ** (k - 1) * len(exps) * bound * qmax ** k)
+    if dtype is object:
+        dtype = _dtype(2 ** (k - 1) * _abs_sum(num) * qmax ** k)
+    x = np.zeros((k + 1, m), dtype=dtype)
+    for t in range(k):
+        d, sign = 2 * (k - 1) - 4 * t, (-1) ** t * math.comb(k - 1, t)
+        for start in range(0, len(exps), _CHUNK):  # no pass for d = 0 or sign = 1
+            part = slice(start, start + _CHUNK)
+            e = exps[part] + d if d else exps[part]
+            q = e // m
+            r = (e - q * m).astype(np.int64, copy=False)
+            q = q.astype(dtype, copy=False)
+            w = coeffs[part].astype(dtype, copy=False)
+            w = w * sign if sign != 1 else w
+            for i in range(k + 1):
+                if i:
+                    w = w * q
+                np.add.at(x[i], r, w)
+    return x
 
 
 @dataclass(frozen=True)
@@ -168,36 +200,6 @@ class GrowthRecord:
     maxabscoeff: int
     abs_eval: float
     vc_value: float | None
-
-
-def _sparse_value(num, n: int) -> complex | None:
-    """J/[n] at A0(n) from the numerator (exps, coeffs, bound) of J, by the
-    column fold in the module docstring; None when [n] does not divide J."""
-    exps, coeffs, bound = num
-    if not len(exps):
-        return 0j
-    m = 4 * n
-    top = max(-int(exps[0]), int(exps[-1])) + 2 * n
-    shifted = exps.astype(_dtype(top), copy=False) + 2 * n
-    q = shifted // m
-    r = shifted - q * m
-    # Every |c| <= bound and |q| <= qmax (q ascends with the exponents), so
-    # each column sum of c or c q stays within len * bound * qmax.
-    qmax = max(-int(q[0]), int(q[-1]), 1)
-    dtype = _dtype(len(exps) * bound * qmax)
-    c = coeffs.astype(dtype, copy=False)
-    r = r.astype(np.int64, copy=False)
-    s0 = np.zeros(m, dtype=dtype)
-    np.add.at(s0, r, c)
-    if s0.any():
-        return None
-    s1 = np.zeros(m, dtype=dtype)
-    np.add.at(s1, r, c * q.astype(dtype, copy=False))
-    # A0^(2n) = -1: fold S1 mod x^(2n) + 1, which Phi_4n divides.  Each term
-    # c q lands in one column, so the differences stay within the same bound.
-    s1 = s1[:2 * n] - s1[2 * n:]
-    return _exact_near_zero(complex(np.dot(s1, RootOfUnityPoint(n).powers()[:2 * n])),
-                            s1, n)
 
 
 def _exact_near_zero(value: complex, columns: np.ndarray, n: int) -> complex:
@@ -291,6 +293,8 @@ def growth_table(e: LinkExpr, Ns, split_mult: int = 1,
         raise ValueError("need at least one color")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("colors must be strictly ascending")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if threads > 1:
         # Imported here: it pulls in logging, which serial callers never need.
         from concurrent.futures import ThreadPoolExecutor

@@ -122,7 +122,7 @@ class DeferredRatio:
     """numerator / [color]^power, left for limit evaluation at a root of unity.
 
     Returned by :func:`normalized_jones` when the divisor does not divide
-    exactly; the asymptotics module resolves it by l'Hospital.
+    exactly; asympt.lhospital_limit takes its limit at a root of unity.
     """
 
     numerator: LaurentPoly
@@ -443,17 +443,12 @@ def normalized_jones(e: LinkExpr, colors, split_mult: int = 1,
     colors = tuple(colors)
     if not colors or any(c != colors[0] for c in colors):
         raise ValueError("normalization requires all components to share one color")
-    return _divide_out(colored_jones(e, colors, memo), colors[0], split_mult)
-
-
-def _divide_out(J: LaurentPoly, n: int, split_mult: int) -> LaurentPoly | DeferredRatio:
-    """J / [n]^split_mult, or a DeferredRatio of what is left once [n] stops
-    dividing."""
     if split_mult < 1:
         raise ValueError("split_mult must be >= 1")
+    J = colored_jones(e, colors, memo)
     for k in range(split_mult):
         try:
-            J = divide_by_quantum_integer(J, n)
+            J = divide_by_quantum_integer(J, colors[0])
         except NotDivisible:
-            return DeferredRatio(J, n, split_mult - k)
+            return DeferredRatio(J, colors[0], split_mult - k)
     return J

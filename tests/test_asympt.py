@@ -153,6 +153,9 @@ class TestGrowthTable:
             assert (a.maxdeg, a.mindeg, a.maxabscoeff) == \
                 (b.maxdeg, b.mindeg, b.maxabscoeff)
             assert abs(a.abs_eval - b.abs_eval) < 1e-12
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                growth_table(e, [8], 1, threads=threads)
 
     def test_requires_ascending(self):
         with pytest.raises(ValueError):

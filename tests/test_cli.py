@@ -124,6 +124,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", "8:4:x2")
         assert code == 2
 
+    def test_counts_below_one_are_usage(self, capsys):
+        for argv in (("growth", "--expr", "unknot", "--n", "2,4", "--threads", "0"),
+                     ("growth", "--expr", "unknot", "--n", "2,4", "--threads", "-3"),
+                     ("eval", "--expr", "unknot", "--color-all", "2", "--split-mult", "0"),
+                     ("growth", "--expr", "unknot", "--n", "2", "--split-mult", "-1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "ValueError" in err
+
     def test_divergent_limit_is_computation_error(self, capsys):
         code, _, err = run(capsys, "eval", "--expr", "cable(0,2;1;unknot)",
                            "--color-all", "2", "--split-mult", "3")

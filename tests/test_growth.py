@@ -1,23 +1,24 @@
-"""Growth rows from the sparse numerator against the dense referee.
+"""Values and growth rows from the sparse numerator against the dense referee.
 
-growth_table reads a row at split multiplicity 1 from the engine's numerator
-N = J (A^2 - A^-2) alone: degrees from N's ends, the largest |coefficient|
-from N's running sums, and J/[N] at A0 from an exact fold of N's exponents
-mod 4N.  The referee builds the dense J with colored_jones, divides it by
-[N] and evaluates the quotient (or takes the l'Hospital limit), which is how
-every row was computed before.  Degrees and coefficients must agree exactly
-and values to 1e-12 relative; a value that is exactly zero comes out as 0.
+growth_table reads a row from the engine's numerator N = J (A^2 - A^-2)
+alone: degrees from N's ends, the largest |coefficient| from N's running
+sums, and J/[N]^k at A0, for every split multiplicity k, from the theta-
+moments of N (A^2 - A^-2)^(k-1) over integer columns mod 4N.  The referee
+builds the dense J with colored_jones, divides it by [N] while [N] divides
+and evaluates the quotient, or takes the l'Hospital limit of what is left,
+which is how every value was computed before.  Degrees and coefficients
+must agree exactly and values to 1e-12 relative, or both sides must raise
+the same error; a value that is exactly zero comes out as 0.
 """
 
 import numpy as np
 import pytest
 
-from cablejones import asympt
+from cablejones import asympt, jones, laurent
 from cablejones.asympt import (
     DivergentLimit,
     _cyclotomic,
     _cyclotomic_remainder,
-    _sparse_value,
     eval_normalized_at_root,
     growth_table,
     lhospital_limit,
@@ -44,18 +45,21 @@ ITERATED = "cable(2,13;1;cable(2,3;1;unknot))"
 T23_T25 = "connsum(cable(2,3;1;unknot),1;cable(2,5;1;unknot),1)"
 
 
-def referee_row(e, n: int, split_mult: int):
-    colors = (n,) * component_count(e)
-    memo = {}
-    J = colored_jones(e, colors, memo)
+def referee_value(e, n: int, split_mult: int, memo=None) -> complex:
+    """J/[n]^split_mult at A0(n) by the dense path: divide while [n] divides,
+    then evaluate the quotient or take the l'Hospital limit of what is left."""
     pt = RootOfUnityPoint(n)
-    result = normalized_jones(e, colors, split_mult, memo)
+    result = normalized_jones(e, (n,) * component_count(e), split_mult, memo)
     if isinstance(result, DeferredRatio):
-        value = lhospital_limit(result.numerator,
-                                quantum_integer(result.color) ** result.power, pt)
-    else:
-        value = result.eval_at_root(pt)
-    return J.maxdeg, J.mindeg, J.max_abs_coeff(), abs(value)
+        return lhospital_limit(result.numerator,
+                               quantum_integer(result.color) ** result.power, pt)
+    return asympt._at_root(result, pt)
+
+
+def referee_row(e, n: int, split_mult: int):
+    memo = {}
+    J = colored_jones(e, (n,) * component_count(e), memo)
+    return J.maxdeg, J.mindeg, J.max_abs_coeff(), abs(referee_value(e, n, split_mult, memo))
 
 
 def agree(e, ns, split_mult: int = 1):
@@ -106,7 +110,7 @@ class TestAgainstTheDenseReferee:
     def test_two_component_torus_link(self):
         agree(parse("cable(2,4;1;unknot)"), NS + (32,))
 
-    def test_split_multiplicity_two_takes_the_dense_path(self):
+    def test_split_multiplicity_two(self):
         agree(parse("cable(0,2;1;unknot)"), (2, 3, 5, 8), split_mult=2)
         agree(parse("cable(0,3;1;unknot)"), (2, 3, 4), split_mult=2)
         agree(parse("connsum(cable(0,2;1;unknot),1;cable(2,3;1;unknot),1)"), (2, 3, 5),
@@ -121,6 +125,74 @@ class TestAgainstTheDenseReferee:
                 J = colored_jones(e, (n,) * component_count(e))
                 expected = divide_by_quantum_integer(J, n).eval_at_root(RootOfUnityPoint(n))
                 assert eval_normalized_at_root(e, n) == pytest.approx(expected, rel=1e-12)
+
+
+# Split unlinks, connected sums with unlinks, a two-component torus link,
+# g = 2 and g = 3 blocks, a twist and the iterated cable.
+SWEEP = ("unknot", "cable(0,2;1;unknot)", "cable(0,3;1;unknot)",
+         "cable(0,2;1;cable(0,2;1;unknot))", "cable(0,2;1;cable(2,3;1;unknot))",
+         "connsum(cable(0,2;1;unknot),1;cable(2,3;1;unknot),1)",
+         "connsum(cable(0,3;1;unknot),1;cable(2,5;1;cable(2,3;1;unknot)),1)",
+         "cable(2,4;1;unknot)", "cable(4,6;1;unknot)", "cable(3,3;1;unknot)",
+         "twist(3;1;cable(2,3;1;unknot))", ITERATED)
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except ComputationError as exc:
+        return type(exc)
+
+
+class TestMomentsAgainstTheLimit:
+    def test_every_split_multiplicity(self):
+        for text in SWEEP:
+            e = parse(text)
+            for n in range(1, 9):
+                for k in range(1, 5):
+                    expected = outcome(lambda: referee_value(e, n, k))
+                    value = outcome(lambda: eval_normalized_at_root(e, n, k))
+                    row = outcome(lambda: growth_table(e, [n], k)[0].abs_eval)
+                    if isinstance(expected, type):
+                        assert value == row == expected, (text, n, k)
+                    else:
+                        assert value == pytest.approx(expected, rel=1e-12, abs=0), (text, n, k)
+                        assert row == abs(value)
+
+    def test_split_union_with_unknots(self):
+        # J(K + k - 1 unknots) = J(K) [N]^(k-1), so at split multiplicity k
+        # it has K's value at split multiplicity 1.
+        for knot in ("cable(2,3;1;unknot)", ITERATED):
+            for k in (2, 3):
+                union = parse(f"connsum(cable(0,{k};1;unknot),1;{knot},1)")
+                for n in (1, 2, 5, 16, 128):
+                    expected = eval_normalized_at_root(parse(knot), n)
+                    assert eval_normalized_at_root(union, n, k) == \
+                        pytest.approx(expected, rel=1e-12), (knot, k, n)
+
+    def test_connected_sum_is_multiplicative(self):
+        for n in (7, 64, 512):
+            left = eval_normalized_at_root(parse("cable(2,3;1;unknot)"), n)
+            right = eval_normalized_at_root(parse("cable(2,5;1;unknot)"), n)
+            assert eval_normalized_at_root(parse(T23_T25), n) == \
+                pytest.approx(left * right, rel=1e-12)
+
+    def test_value_path_builds_no_dense_j(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("the value path built or divided a dense J")
+        monkeypatch.setattr(jones, "_materialize", dense)
+        monkeypatch.setattr(jones, "divide_by_quantum_integer", dense)
+        monkeypatch.setattr(laurent, "divide_by_quantum_integer", dense)
+        monkeypatch.setattr(asympt, "lhospital_limit", dense)
+        # T(3,3) at N = 4: [4] does not divide J/[4], yet the limit is finite.
+        cases = [("cable(3,3;1;unknot)", 4, 2), (ITERATED, 5, 1), ("cable(2,4;1;unknot)", 5, 1)]
+        cases += [(text, n, k)
+                  for text in ("cable(0,3;1;unknot)",
+                               "connsum(cable(0,3;1;unknot),1;cable(2,3;1;unknot),1)")
+                  for n in (1, 2, 5) for k in (1, 2, 3)]
+        for text, n, k in cases:
+            e = parse(text)
+            assert abs(eval_normalized_at_root(e, n, k)) == growth_table(e, [n], k)[0].abs_eval
 
 
 class TestOnePath:
@@ -275,10 +347,12 @@ class TestGuards:
         # J = A^4 + A^-4 vanishes at A0(4) but [4] does not divide it.
         J = LaurentPoly.from_terms([(4, 1), (-4, 1)])
         num = patch_numerator(monkeypatch, [-6, -2, 2, 6], [-1, 1, -1, 1], 2)
-        assert _sparse_value(num, 4) is None
         assert _materialize(num) == J
         [row] = growth_table(parse("unknot"), [4])
         expected = lhospital_limit(J, quantum_integer(4), RootOfUnityPoint(4))
+        # J(A0) = 0, so the first theta-moment decides: the limit is 1/sqrt(2).
+        assert asympt._value(num, 4, 1) == pytest.approx(expected, rel=1e-12)
+        assert abs(expected) == pytest.approx(2 ** -0.5, rel=1e-12)
         assert row.abs_eval == pytest.approx(abs(expected), rel=1e-12)
         assert (row.mindeg, row.maxdeg, row.maxabscoeff) == (-4, 4, 1)
         # At split multiplicity 2 the limit is against [4]^2, of order 2.
@@ -293,9 +367,12 @@ class TestGuards:
         exps = sorted([m * q - 2 * n for q in range(8)] + [m * q + 4 - 2 * n for q in range(8)])
         coeffs = [2 ** 61 if (e + 2 * n) % m == 0 else -2 ** 61 for e in exps]
         num = patch_numerator(monkeypatch, exps, coeffs, 2 ** 61)
-        assert _sparse_value(num, n) is None
         J = LaurentPoly.from_terms([(e + 2, -2 ** 61) for e in exps[::2]])
         assert _materialize(num) == J
+        # J(A0) = -2^61 * 8 A0^-2 = 2^64 i, where [2] vanishes.
+        assert J.eval_at_root(RootOfUnityPoint(n)) == pytest.approx(2 ** 64 * 1j, rel=1e-12)
+        with pytest.raises(DivergentLimit, match="N=2 .* theta-moment 0 "):
+            asympt._value(num, n, 1)
         with pytest.raises(DivergentLimit):
             growth_table(parse("unknot"), [n])
 
