@@ -11,13 +11,12 @@ raised.  With e = M q + r, M = 4N, M_j = sum_r A0^r sum_{i<=j} C(j,i) M^i
 r^(j-i) X_i[r] over integer columns X_i[r] = sum c q^i, so each zero test is
 exact; when X_0 .. X_(z-1) are identically 0, M_j carries the factor M^z.
 At k = 1 with [N] dividing J, X_0 = 0 and the value is -sum_r X_1[r] A0^r.
-As A0^(2N) = -1, columns fold once more, to X[r] - X[r + 2N].  J's degrees
-and largest coefficient are read off Num's ends and running sums.
+J's degrees and largest coefficient are read off Num's ends and running sums.
 
-Whether a value at A0 is 0 is decided exactly, by one test: a value within
-the float error bound of 0 is taken again from the exact remainder of its
-integer residue columns mod the cyclotomic polynomial Phi_M, which is 0
-exactly when the value is.  So there is no tolerance to set.
+Each sum of integer columns is evaluated by laurent._exact_value, and every
+l'Hospital and vanishing-order test by LaurentPoly.eval_at_root, which
+takes a value near 0 from the same routine.  So every zero decision at A0
+is exact, and there is no tolerance to set.
 
 The decay diagnostic for a family of colorings is
 vc_value = (2 pi / N) * ln |J'_N(A0)|, which tends to zero exactly when
@@ -40,6 +39,7 @@ from .laurent import (
     LaurentPoly,
     RootOfUnityPoint,
     _dtype,
+    _exact_value,
     _max_abs,
 )
 from .linkexpr import LinkExpr, component_count
@@ -78,14 +78,6 @@ class VanishingInvariant(ComputationError, ArithmeticError):
     record has no degrees, coefficients or decay rate to report."""
 
 
-def _at_root(p: LaurentPoly, pt: RootOfUnityPoint) -> complex:
-    """p(A0): eval_at_root's value, taken exactly when it is near 0."""
-    start, sums = p._residue_sums(pt.order)
-    columns = np.zeros(pt.order, dtype=object)  # so sum |columns| is exact
-    columns[(start + p.step * np.arange(len(sums))) % pt.order] = sums
-    return _exact_near_zero(p.eval_at_root(pt), columns, pt.N)
-
-
 def lhospital_limit(numerator: LaurentPoly, denominator: LaurentPoly,
                     pt: RootOfUnityPoint,
                     max_depth: int = MAX_LHOSPITAL_DEPTH) -> complex:
@@ -99,11 +91,11 @@ def lhospital_limit(numerator: LaurentPoly, denominator: LaurentPoly,
         raise ZeroDivisionError("denominator is identically zero")
     num, den = numerator, denominator
     for depth in range(max_depth + 1):
-        dv = _at_root(den, pt)
+        dv = den.eval_at_root(pt)
         if dv:
-            nv = _at_root(num, pt)
+            nv = num.eval_at_root(pt)
             return nv / dv if nv else 0j
-        if _at_root(num, pt):
+        if num.eval_at_root(pt):
             raise DivergentLimit(f"at N={pt.N} the numerator does not vanish where "
                                  f"the denominator does, after {depth} derivatives")
         num = num.derivative()
@@ -118,7 +110,7 @@ def vanishing_order(p: LaurentPoly, pt: RootOfUnityPoint,
         raise ValueError("the zero polynomial vanishes to every order")
     cur = p
     for k in range(max_depth + 1):
-        if _at_root(cur, pt):
+        if cur.eval_at_root(pt):
             return k
         cur = cur.derivative()
     raise DepthExceeded(f"at N={pt.N} still vanishing after {max_depth} derivatives")
@@ -137,15 +129,14 @@ def _value(num, n: int, split_mult: int) -> complex:
     k, m = split_mult, 4 * n
     x = _moment_columns(num, m, k)
     z = next((i for i in range(k) if x[i].any()), k)
-    powers = RootOfUnityPoint(n).powers()[:2 * n]
     for j in range(z, k + 1):
         # M_j = m^z sum_r U[r] A0^r, U = sum_{z <= i <= j} C(j, i) m^(i - z) r^(j - i) X_i
         u = x[z] if j == z else sum(
             math.comb(j, i) * m ** (i - z) * np.arange(m, dtype=object) ** (j - i) * x[i]
             for i in range(z, j + 1))
-        # A0^(2n) = -1; each term of X lands in one column, so u keeps its bound.
-        u = u[:2 * n] - u[2 * n:]
-        value = _exact_near_zero(complex(np.dot(u, powers)), u, n)
+        # Each term of X lands in one column, so sum |x[z]| keeps the bound
+        # that chose its dtype, as _exact_value requires.
+        value = _exact_value(u, n)
         if j < k and value:
             raise DivergentLimit(f"at N={n} J/[N]^{k} has no finite limit: "
                                  f"its theta-moment {j} does not vanish")
@@ -200,72 +191,6 @@ class GrowthRecord:
     maxabscoeff: int
     abs_eval: float
     vc_value: float | None
-
-
-def _exact_near_zero(value: complex, columns: np.ndarray, n: int) -> complex:
-    """value, the float dot of the integer `columns` (4n or 2n, with
-    sum |columns| exact) with A0(n)^0, A0(n)^1, ...; 0j when the dot is 0.
-
-    The float dot errs by at most (m + 64) 2^-52 sum |columns|, m = 4n: each
-    column converts and each product rounds within 2^-53 relative, each
-    power of A0 lies within 32 * 2^-53 of exact, the sum adds (m - 1) 2^-53
-    of the total, and the two components double that.  A value that small
-    is taken again from the exact remainder mod Phi_m, 0 exactly when it is.
-    """
-    m = 4 * n
-    if abs(value) > (m + 64) * 2.0 ** -52 * float(np.abs(columns).sum()):
-        return value
-    rem = _cyclotomic_remainder(columns, m)
-    return complex(np.dot(rem, RootOfUnityPoint(n).powers()[:len(rem)])) if rem.any() else 0j
-
-
-def _cyclotomic(m: int) -> np.ndarray:
-    """The coefficients of Phi_m, lowest degree first, as Python ints.
-
-    Phi_m = prod over squarefree d | m of (x^(m/d) - 1)^mu(d): multiply by
-    the binomials with mu(d) = 1, then divide by those with mu(d) = -1.
-    """
-    primes, rest, p = [], m, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    plus, minus = [], []
-    for subset in range(1 << len(primes)):
-        d = math.prod(p for i, p in enumerate(primes) if subset >> i & 1)
-        (minus if bin(subset).count("1") % 2 else plus).append(m // d)
-    phi = np.ones(1, dtype=object)
-    for k in plus:
-        phi = np.concatenate((np.zeros(k, dtype=object), phi)) - \
-            np.concatenate((phi, np.zeros(k, dtype=object)))
-    for k in minus:
-        # phi = (x^k - 1) w unrolls as w[i] = w[i - k] - phi[i]: -w is the
-        # running sum down each of k columns, whose top k entries vanish.
-        rows = -(-len(phi) // k)
-        grid = np.zeros(rows * k, dtype=object)
-        grid[:len(phi)] = phi
-        w = -np.cumsum(grid.reshape(rows, k), axis=0).reshape(-1)
-        phi = w[:len(phi) - k]
-    return phi
-
-
-def _cyclotomic_remainder(s: np.ndarray, m: int) -> np.ndarray:
-    """sum(s[r] x^r) mod Phi_m, exactly, for m even and len(s) m or <= m/2:
-    it has the same value at A0, and is zero exactly when that value is.  For
-    m a power of two Phi_m is x^(m/2) + 1, so a folded s is its remainder."""
-    phi = _cyclotomic(m)
-    deg = len(phi) - 1
-    rem = s.astype(object)
-    if len(rem) == m:  # Phi_m divides x^(m/2) + 1
-        rem = rem[:m // 2] - rem[m // 2:]
-    for i in range(len(rem) - 1, deg - 1, -1):
-        if rem[i]:
-            rem[i - deg: i + 1] -= rem[i] * phi
-    return rem[:deg]
 
 
 def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:

@@ -25,17 +25,6 @@ from .laurent import ComputationError
 
 __all__ = ["entry", "main"]
 
-_USAGE_ERRORS = (
-    linkexpr.ExprSyntaxError,
-    linkexpr.ExpressionTooDeep,
-    linkexpr.BadComponentIndex,
-    linkexpr.BadCableParams,
-    linkexpr.ColorArityMismatch,
-    linkexpr.NonPositiveColor,
-    ValueError,
-)
-
-
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
@@ -225,7 +214,7 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
+    except ValueError as exc:  # every linkexpr input error subclasses it
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

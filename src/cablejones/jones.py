@@ -114,7 +114,11 @@ _SCATTER_CHUNK = 1 << 20
 
 
 class ColorMismatchAtConnSum(ComputationError, ValueError):
-    """The two sides of a connected sum disagree about the joined color."""
+    """The two sides of a connected sum disagree about the joined color.
+
+    Public for compatibility only: a connected sum reads one color for the
+    joined component and gives it to both sides, so they cannot disagree.
+    """
 
 
 @dataclass(frozen=True)
@@ -356,10 +360,6 @@ def _connsum(e: ConnSum, colors: tuple[int, ...], memo: dict) -> _Numerator:
     tail = colors[cl:]
     n = colors[e.i - 1]
     right_colors = tail[:e.j - 1] + (n,) + tail[e.j - 1:]
-    if left_colors[e.i - 1] != right_colors[e.j - 1]:
-        raise ColorMismatchAtConnSum(
-            f"joined component colored {left_colors[e.i - 1]} on the left "
-            f"but {right_colors[e.j - 1]} on the right")
     left = _jones(e.left, left_colors, memo)
     right = _jones(e.right, right_colors, memo)
     if not len(left.exps) or not len(right.exps):

@@ -35,7 +35,11 @@ in the dtype fixed up front by sum |c| * bound(longer).
 Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
 coefficients exactly per residue class of the exponent mod 4N, so
 polynomials of huge degree lose no precision before the single final dot
-product with the powers of A0.
+product with the powers of A0.  Whether a value at A0 is 0 is decided
+exactly, in one place: _exact_value takes 4N integer residue columns to
+their coordinates in a Z-basis of Z[A0], which all vanish exactly when the
+value does.  eval_at_root takes a value from it whenever the float dot is
+within its rounding bound of 0, so there is no tolerance to set.
 """
 
 from __future__ import annotations
@@ -128,6 +132,71 @@ class RootOfUnityPoint:
         one slice.  Built once per N and shared, hence read-only.
         """
         return _doubled_powers(self.N)
+
+
+@functools.lru_cache(maxsize=64)
+def _integral_basis(n: int) -> tuple:
+    """(index, steps, basis): how 4n residue columns become their integer
+    coordinates in a Z-basis of Z[A0], A0 = A0(n).
+
+    Write 4n = prod q with q = p^e.  As the q are coprime, r = sum (4n/q) r_q
+    mod 4n runs once over every residue as each r_q runs below q (the CRT),
+    and A0^r = prod w_q^(r_q) for the primitive q-th roots w_q = A0^(4n/q).
+    So columns[index] holds each column at (r_q) on one axis per q, each
+    axis split as (p, q/p).  The p-th roots of unity sum to 0, so
+    w^((p-1) q/p + s) = -sum_{t < p-1} w^(t q/p + s): for each
+    (before, p, after) in steps, row p - 1 of that axis is subtracted from
+    the others.  What is left are the coordinates on the basis
+    prod w_q^(j_q), j_q < phi(q), whose values are `basis`.  For n a power
+    of two the index is the identity and the one step is the fold by
+    A0^(2n) = -1.
+    """
+    m = 4 * n
+    factors, rest, p = [], m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            factors.append((p, q))
+        p += 1
+    index = np.zeros((), dtype=np.int64)
+    for p, q in factors:
+        index = (index[..., None] + m // q * np.arange(q)) % m
+    index = index.reshape(-1)
+    steps, kept, before, rest = [], index, 1, m
+    for p, q in factors:
+        steps.append((before, p, rest // p))
+        kept = kept.reshape(before, p, rest // p)[:, :p - 1]
+        before *= q - q // p
+        rest //= q
+    basis = _doubled_powers(n)[kept.reshape(-1)]
+    basis.setflags(write=False)
+    if len(factors) == 1:  # the identity, taken as a view
+        index = slice(None)
+    return index, tuple(steps), basis
+
+
+def _exact_value(columns: np.ndarray, n: int) -> complex:
+    """sum_r columns[r] A0(n)^r over 4n exact integer columns, with no
+    tolerance: 0j when that sum is 0.
+
+    The columns become their coordinates in a Z-basis of Z[A0] (see
+    _integral_basis), which are all 0 exactly when the sum is, and one dot
+    with the basis values finishes.  The first basis value is A0^0 = 1 and
+    +0 + -0 = +0, so zero coordinates give 0j with no sign.  Every
+    intermediate is a +-1 sum of distinct columns, so int64 columns with
+    sum |columns| below 2^62 do not overflow.
+    """
+    index, steps, basis = _integral_basis(n)
+    t = columns[index]
+    for before, p, after in steps:
+        t = t.reshape(before, p, after)
+        t = t[:, :p - 1] - t[:, p - 1:]
+    return complex(np.dot(t.reshape(-1), basis))
 
 
 def _dtype(bound: int):
@@ -566,7 +635,12 @@ class LaurentPoly:
         The coefficients are summed exactly per residue class of the
         exponent mod 4N before any floating-point work, so exponent
         magnitude never costs precision; one dot product with the powers of
-        A0 finishes.
+        A0 finishes.  That dot errs by at most (4N + 64) 2^-52 sum |c|: each
+        sum converts and each product rounds within 2^-53 relative, each
+        power of A0 lies within 32 * 2^-53 of exact, the sum adds
+        (4N - 1) 2^-53 of the total, and the two components double that.
+        A value that small is taken again from the exact sums by
+        _exact_value, so a zero value is exactly 0j.
         """
         order = pt.order
         start, sums = self._residue_sums(order)
@@ -575,7 +649,16 @@ class LaurentPoly:
             powers = pt.powers()[(start + s * np.arange(len(sums))) % order]
         else:
             powers = pt.powers()[start: start + s * len(sums): s]
-        return complex(np.dot(sums, powers))
+        value = complex(np.dot(sums, powers))
+        # sum |c| <= len * bound; a float and an int compare exactly, with
+        # no overflow however large the bound.  The zero polynomial's empty
+        # dot is exactly 0j.
+        if (abs(value) * 2.0 ** 52 > (order + 64) * len(self.coeffs) * self._bound
+                or not len(self.coeffs)):
+            return value
+        columns = np.zeros(order, dtype=object)  # sum |columns| may pass 2^62
+        columns[(start + s * np.arange(len(sums))) % order] = sums
+        return _exact_value(columns, pt.N)
 
     def _residue_sums(self, order: int) -> tuple[int, np.ndarray]:
         """(start, sums): sums[j] is the exact sum of the coefficients whose
@@ -692,9 +775,3 @@ def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
     buf[shift:span] = arr
     buf[:span - shift] -= arr
     return _make(a.val - 2 + 2 * n, _divide_binomial(buf, span, width), bound, g)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -205,10 +205,6 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def expect(self, ch: str):
         self._skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:

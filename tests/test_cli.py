@@ -120,6 +120,16 @@ class TestExitCodes:
         assert code == 2
         assert "ColorArityMismatch" in err
 
+    @pytest.mark.parametrize("argv, error", [
+        (("jones", "--expr", "cable(2,0;1;unknot)", "--colors", "2"), "BadCableParams"),
+        (("jones", "--expr", "cable(2,3;2;unknot)", "--colors", "2"), "BadComponentIndex"),
+        (("jones", "--expr", "unknot", "--colors", "0"), "NonPositiveColor"),
+    ])
+    def test_input_errors_are_usage(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert error in err and "Traceback" not in err
+
     def test_bad_range_is_usage(self, capsys):
         code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", "8:4:x2")
         assert code == 2

@@ -17,8 +17,6 @@ import pytest
 from cablejones import asympt, jones, laurent
 from cablejones.asympt import (
     DivergentLimit,
-    _cyclotomic,
-    _cyclotomic_remainder,
     eval_normalized_at_root,
     growth_table,
     lhospital_limit,
@@ -36,6 +34,7 @@ from cablejones.laurent import (
     ComputationError,
     LaurentPoly,
     RootOfUnityPoint,
+    _exact_value,
     divide_by_quantum_integer,
     quantum_integer,
 )
@@ -53,7 +52,7 @@ def referee_value(e, n: int, split_mult: int, memo=None) -> complex:
     if isinstance(result, DeferredRatio):
         return lhospital_limit(result.numerator,
                                quantum_integer(result.color) ** result.power, pt)
-    return asympt._at_root(result, pt)
+    return result.eval_at_root(pt)
 
 
 def referee_row(e, n: int, split_mult: int):
@@ -258,31 +257,34 @@ class TestExactZero:
         assert eval_normalized_at_root(three, 6, 2) == 0j
 
     def test_cyclotomic_polynomials(self):
+        # Phi_m padded to m columns vanishes at A0(m/4), and 1 + Phi_m is 1.
         for m, phi in ((4, [1, 0, 1]), (8, [1, 0, 0, 0, 1]), (12, [1, 0, -1, 0, 1]),
                        (20, [1, 0, -1, 0, 1, 0, -1, 0, 1]),
                        (36, [1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1])):
-            assert _cyclotomic(m).tolist() == phi
-        for m in (24, 60, 120, 420):
-            phi = _cyclotomic(m)
-            zeta = np.exp(2j * np.pi / m)
-            assert abs(np.polyval(phi[::-1].astype(float), zeta)) < 1e-9
+            s = np.zeros(m, dtype=np.int64)
+            s[:len(phi)] = phi
+            assert str(_exact_value(s, m // 4)) == "0j"
+            s[0] += 1
+            assert _exact_value(s, m // 4) == 1
 
     def test_remainder_vanishes_exactly_with_the_value(self, rng):
         # Vanishing sums at a primitive m-th root: x^a (1 + x^(m/2)) and
         # x^a times the sum of the p-th roots of unity, for primes p | m.
-        for m in (4, 8, 12, 20, 24, 36, 60, 64):
+        # 100 and 108 have axes p^e with e >= 2, and 420 has four primes.
+        for m in (4, 8, 12, 20, 24, 36, 60, 64, 100, 108, 120, 420):
             zeta = np.exp(2j * np.pi * np.arange(m) / m)
             for _ in range(20):
                 s = np.zeros(m, dtype=np.int64)
                 for _ in range(3):
                     a = rng.randrange(m)
-                    p = rng.choice([p for p in (2, 3, 5) if m % p == 0])
+                    p = rng.choice([p for p in (2, 3, 5, 7) if m % p == 0])
                     s[[(a + j * m // p) % m for j in range(p)]] += rng.randint(-3, 3)
-                assert not _cyclotomic_remainder(s, m).any()
+                assert str(_exact_value(s, m // 4)) == "0j"
                 s[rng.randrange(m)] += rng.choice((-1, 1))
-                rem = _cyclotomic_remainder(s, m)
-                assert np.dot(rem, zeta[:len(rem)]) == pytest.approx(np.dot(s, zeta), abs=1e-9)
-                assert rem.any() == (abs(np.dot(s, zeta)) > 1e-9)
+                value = _exact_value(s, m // 4)
+                assert value == pytest.approx(np.dot(s, zeta), abs=1e-9)
+                assert _exact_value(s.astype(object), m // 4) == pytest.approx(value, abs=1e-12)
+                assert (value != 0) == (abs(np.dot(s, zeta)) > 1e-9)
 
     def test_columns_fold_by_the_half_period(self, monkeypatch):
         # Q = J/[8] = 2^60 + 1 + 2^60 A^16 is 1 at A0, as A0^16 = -1.  A
@@ -294,8 +296,8 @@ class TestExactZero:
 
     def test_value_within_the_rounding_bound_is_taken_exactly(self, monkeypatch):
         # Q = J/[3] = 2^60 (A^8 + A^4 + 1) + 1 is 1 at A0(3), where A0^4 is a
-        # cube root of unity, but the float sum errs by about 2^60 * 1e-16,
-        # so the value is taken again from the exact remainder mod Phi_12.
+        # cube root of unity, but a float sum of its columns errs by about
+        # 2^60 * 1e-16, so the value comes from their exact coordinates.
         a = 2 ** 60
         q = LaurentPoly.from_terms([(8, a), (4, a), (0, a + 1)])
         num = _sparse(q * quantum_integer(3) * LaurentPoly.from_terms([(2, 1), (-2, -1)]))

@@ -119,7 +119,16 @@ class TestDerivative:
 class TestEvalAtRoot:
     def test_quantum_integer_vanishes_at_own_root(self):
         for n in (2, 3, 5, 8, 17):
-            assert abs(quantum_integer(n).eval_at_root(RootOfUnityPoint(n))) < 1e-12
+            assert quantum_integer(n).eval_at_root(RootOfUnityPoint(n)) == 0j
+
+    def test_exact_under_cancellation(self):
+        # The float dot of 2^60 [n] errs by hundreds; the value is taken
+        # again from the exact residue sums, so no digit is lost.
+        for n in (4, 6, 12):
+            pt = RootOfUnityPoint(n)
+            big = 2 ** 60 * quantum_integer(n)
+            assert str(big.eval_at_root(pt)) == "0j"
+            assert (big + 1).eval_at_root(pt) == 1
 
     def test_full_period_power_is_one(self):
         for n in (2, 5, 9):
