@@ -38,17 +38,17 @@ connected sum has a numerator of its own: the numerator of J_l J_r / [n] is
 N_l J_r / [n], and since [n] (A^2 - A^-2) = A^(2n) - A^(-2n) it is
 N_l N_r / (A^(2n) - A^(-2n)).
 The two sparse numerators are multiplied into one zeroed buffer on the
-lattice lo + 4Z in one of two regimes, whichever counts fewer operations:
-scattering every product c_l c_r with np.add.at (two sparse sides, such as
-torus knots), or one slice add of one side, spread dense on its lattice, per
-term of the other (a dense side, such as a connected sum of a connected
-sum).  Dividing by A^(-2n) (x^n - 1), x = A^4, is minus the running sums
-down n columns, whose top n entries must vanish; divide_by_quantum_integer
-runs the same loop.  Every exponent of N lies in one class mod 4, and on
-the lattice lo + 4Z, J (from A^(lo + 2)) is minus the running sums of N,
-whose last one must vanish; colored_jones builds that dense J once, at the
-end, and colored_numerator hands N itself to callers that need only J's
-degrees, its largest coefficient or its value at a root of unity.
+lattice lo + 4Z by laurent's sparse product kernel, which scatters every
+product c_l c_r (two sparse sides, such as torus knots) or adds one side,
+spread dense, once per term of the other (a dense side, such as a connected
+sum of a connected sum), whichever counts fewer operations.  Dividing by
+A^(-2n) (x^n - 1), x = A^4, is minus the running sums down n columns, whose
+top n entries must vanish; divide_by_quantum_integer runs the same loop.
+Every exponent of N lies in one class mod 4, and on the lattice lo + 4Z, J
+(from A^(lo + 2)) is minus the running sums of N, whose last one must
+vanish; colored_jones builds that dense J once, at the end, and
+colored_numerator hands N itself to callers that need only J's degrees,
+its largest coefficient or its value at a root of unity.
 
 Each numerator carries a proved bound B on the |coefficients| of both N and
 J: 1 for the unknot, the child's bound for a twist, the sum over m of
@@ -72,15 +72,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .laurent import (
-    _TERM_COST,
     ComputationError,
     LaurentPoly,
     NotDivisible,
-    _add_shifted,
+    _add_product,
     _divide_binomial,
     _dtype,
     _make,
     _max_abs,
+    _support,
     divide_by_quantum_integer,
 )
 from .linkexpr import (
@@ -104,13 +104,6 @@ __all__ = [
 ]
 
 MEMO_SPAN_LIMIT = 1 << 20
-
-# A connected sum's product scatters when that counts fewer operations than
-# shifted adds, with one np.add.at product counted as this many slice-add
-# entries (7 to 23 ns against 1.2 ns on a 2-core x86-64 VM, numpy 2.4)...
-_SCATTER_COST = 16
-# ...in chunks of at most about this many products.
-_SCATTER_CHUNK = 1 << 20
 
 
 class ColorMismatchAtConnSum(ComputationError, ValueError):
@@ -295,7 +288,8 @@ def _torus_knot_terms(knot: Cable, table, p: int, rg: int, reach: int):
     # The stable kind is _merge's; the default one would load a second sort
     # kernel, about 0.2 MB more resident memory for a small table.
     order = np.argsort(knot_exps, kind="stable")
-    owner, term = np.nonzero(np.abs(np.concatenate((m2, m2)))[order] < sizes[:, None])
+    mask = np.abs(np.concatenate((m2, m2)))[order] < sizes[:, None]
+    owner, term = np.divmod(np.flatnonzero(mask), mask.shape[1])
     term = order[term]
     exps = knot_exps[term]
     exps += (rg * m * (m * p + 2))[owner]
@@ -388,34 +382,6 @@ def _abs_sum(num: _Numerator) -> int:
     return int(np.abs(num.coeffs.astype(dtype, copy=False)).sum())
 
 
-def _add_product(out: np.ndarray, ka: np.ndarray, ca: np.ndarray,
-                 kb: np.ndarray, cb: np.ndarray):
-    """out[ka[i] + kb[j]] += ca[i] cb[j] for every i, j: the product of two
-    sparse polynomials, as ascending lattice indices and coefficients in
-    out's dtype.
-
-    The operation count, in slice-add entries, picks the regime:
-      * scatter, np.add.at over the outer product: la lb _SCATTER_COST;
-      * shifted adds of b spread dense, one per term of a:
-        la (span_b + _TERM_COST), or the same with a and b swapped.
-    """
-    da = len(ka) * (int(kb[-1]) + 1 + _TERM_COST)
-    db = len(kb) * (int(ka[-1]) + 1 + _TERM_COST)
-    if len(ka) * len(kb) * _SCATTER_COST <= min(da, db):
-        if len(ka) < len(kb):
-            ka, ca, kb, cb = kb, cb, ka, ca
-        rows = max(1, _SCATTER_CHUNK // len(kb))
-        for i in range(0, len(ka), rows):
-            np.add.at(out, (ka[i: i + rows, None] + kb).ravel(),
-                      (ca[i: i + rows, None] * cb).ravel())
-        return
-    if db < da:
-        ka, ca, kb, cb = kb, cb, ka, ca
-    dense = np.zeros(int(kb[-1]) + 1, dtype=out.dtype)
-    dense[kb] = cb
-    _add_shifted(out, ka.tolist(), ca.tolist(), dense)
-
-
 def _sparse(p: LaurentPoly) -> _Numerator:
     """The nonzero engine numerator p, as a _Numerator with exact bound.
 
@@ -424,7 +390,7 @@ def _sparse(p: LaurentPoly) -> _Numerator:
     exact maxima of |N| and of the running sums, that is of |J|.  p lies on
     a lattice of step 4, so its exponents need no check mod 4.
     """
-    k = np.flatnonzero(p.coeffs)
+    k = _support(p.coeffs)
     coeffs = p.coeffs[k]
     sums = _coefficient_sums(coeffs, len(k) * p._bound)
     exps = k.astype(_dtype(max(-p.val, p.maxdeg)), copy=False) * p.step + p.val

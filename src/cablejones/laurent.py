@@ -27,10 +27,15 @@ cabling shifts differ by multiples of 4: the engine stores and adds a
 quarter of the entries a dense array would.  Supports are nearly contiguous
 on their lattice, so this form wins over a sparse map.  Values built from
 explicit terms start on step 1; a value read back from JSON takes the gcd
-of its exponent differences as its step.  A product convolves when both factors are
-dense; when the shorter one is sparse it adds one shifted copy of the
-longer per nonzero term into a single buffer of the product's exact length,
-in the dtype fixed up front by sum |c| * bound(longer).
+of its exponent differences as its step.
+
+A product has three regimes.  It convolves when both factors are dense.
+When the shorter one is sparse, _add_product adds the products of the two
+supports into one buffer of the product's exact length, in the dtype fixed
+up front by sum |c| * bound(longer), in whichever way counts fewer
+operations: scattering every product with np.add.at (two sparse factors),
+or one slice add of one factor, spread dense, per term of the other (a
+dense factor).  The cabling engine's connected sums use the same kernel.
 
 Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
 coefficients exactly per residue class of the exponent mod 4N, so
@@ -68,10 +73,24 @@ _INT64_BOUND = 1 << 62
 # Trimming scans this many entries at a time inward from each end.
 _SCAN = 4096
 
-# A product takes the shifted-add path when its convolution would cost more
+# A product takes the sparse path when its convolution would cost more
 # multiply-adds than one slice add per nonzero term, with the Python
 # overhead of a term counted as this many multiply-adds.
 _TERM_COST = 2048
+
+# The sparse path scatters when that counts fewer operations than shifted
+# adds, with one np.add.at product counted as this many slice-add entries.
+# Both costs grow alike once the buffer leaves the cache: on connected sums
+# of 2.5k to 1M entries the break-even lay between 7 and 26 entries, median
+# 12, with no trend in the size (2-core x86-64 VM, numpy 2.4)...
+_SCATTER_COST = 12
+# ...in chunks of at most about this many products, whose index and product
+# arrays (1 MB) stay in the cache; 1M-product chunks took twice as long.
+_SCATTER_CHUNK = 1 << 16
+
+# Support scans take (arr != 0).nonzero() from this many entries on, which
+# beats arr.nonzero() on wide int64 arrays and loses on short ones.
+_MASK_MIN = 400
 
 # Equality compares int64 arrays of up to this many entries as bytes, which
 # copies both and beats an elementwise pass only on short arrays.
@@ -209,6 +228,13 @@ def _max_abs(arr: np.ndarray) -> int:
     return max(-int(arr.min()), int(arr.max()))
 
 
+def _support(arr: np.ndarray) -> np.ndarray:
+    """The ascending indices of arr's nonzero entries."""
+    if len(arr) < _MASK_MIN:
+        return arr.nonzero()[0]
+    return (arr != 0).nonzero()[0]
+
+
 def _nonzero_range(arr: np.ndarray) -> tuple[int, int]:
     """(lo, hi) such that arr[lo:hi] runs from the first to the last nonzero.
 
@@ -220,7 +246,7 @@ def _nonzero_range(arr: np.ndarray) -> tuple[int, int]:
         return 0, n
     lo = 0
     while lo < n:
-        nz = arr[lo: lo + _SCAN].nonzero()[0]
+        nz = _support(arr[lo: lo + _SCAN])
         if len(nz):
             if lo + _SCAN >= n:
                 return lo + int(nz[0]), lo + int(nz[-1]) + 1
@@ -232,7 +258,7 @@ def _nonzero_range(arr: np.ndarray) -> tuple[int, int]:
     hi = n
     while True:
         start = max(lo, hi - _SCAN)
-        nz = arr[start: hi].nonzero()[0]
+        nz = _support(arr[start: hi])
         if len(nz):
             return lo, start + int(nz[-1]) + 1
         hi = start
@@ -302,10 +328,12 @@ def _common(a: "LaurentPoly", b: "LaurentPoly", offset: int = 0):
 def _add_shifted(out: np.ndarray, offsets: list, coeffs: list, y: np.ndarray):
     """out[i: i + len(y)] += c * y for each offset i and coefficient c.
 
-    One slice add per term, with no multiply for c = +-1; y must be in
-    out's dtype, and the caller proves that every sum fits it.
+    One slice add per term, with no multiply for c = +-1 and one scratch
+    buffer for the others; y must be in out's dtype, and the caller proves
+    that every sum and every c * y fits it.
     """
     ly = len(y)
+    tmp = None
     for i, c in zip(offsets, coeffs):
         view = out[i: i + ly]
         if c == 1:
@@ -313,7 +341,40 @@ def _add_shifted(out: np.ndarray, offsets: list, coeffs: list, y: np.ndarray):
         elif c == -1:
             view -= y
         else:
-            view += y * c
+            if tmp is None:
+                tmp = np.empty_like(y)
+            view += np.multiply(y, c, out=tmp)
+
+
+def _add_product(out: np.ndarray, ka: np.ndarray, ca: np.ndarray,
+                 kb: np.ndarray, cb: np.ndarray):
+    """out[ka[i] + kb[j]] += ca[i] cb[j] for every i, j: the product of two
+    sparse polynomials, as ascending lattice indices and nonzero
+    coefficients in out's dtype.
+
+    The caller proves that sum |ca| * max |cb| fits out's dtype.  An entry
+    of out sums distinct products, at most one per term of a, so every
+    partial sum and every product lies within that, in either regime.  The
+    operation count, in slice-add entries, picks the regime:
+      * scatter, np.add.at over the outer product: la lb _SCATTER_COST;
+      * shifted adds of b spread dense, one per term of a:
+        la (span_b + _TERM_COST), or the same with a and b swapped.
+    """
+    da = len(ka) * (int(kb[-1]) + 1 + _TERM_COST)
+    db = len(kb) * (int(ka[-1]) + 1 + _TERM_COST)
+    if len(ka) * len(kb) * _SCATTER_COST <= min(da, db):
+        if len(ka) < len(kb):
+            ka, ca, kb, cb = kb, cb, ka, ca
+        rows = max(1, _SCATTER_CHUNK // len(kb))
+        for i in range(0, len(ka), rows):
+            np.add.at(out, (ka[i: i + rows, None] + kb).ravel(),
+                      (ca[i: i + rows, None] * cb).ravel())
+        return
+    if db < da:
+        ka, ca, kb, cb = kb, cb, ka, ca
+    dense = np.zeros(int(kb[-1]) + 1, dtype=out.dtype)
+    dense[kb] = cb
+    _add_shifted(out, ka.tolist(), ca.tolist(), dense)
 
 
 def _divide_binomial(buf: np.ndarray, span: int, width: int) -> np.ndarray:
@@ -423,7 +484,7 @@ class LaurentPoly:
     def support(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for every nonzero term, ascending."""
         v, s = self.val, self.step
-        nz = self.coeffs.nonzero()[0]
+        nz = _support(self.coeffs)
         for i, c in zip(nz.tolist(), self.coeffs[nz].tolist()):
             yield v + s * i, c
 
@@ -532,17 +593,25 @@ class LaurentPoly:
                 return _wrap(a.val + b.val, np.convolve(x, y), bound, s)
             # One object operand makes numpy convolve on Python ints.
             return _make(a.val + b.val, np.convolve(x.astype(object), y), step=s)
-        # Sparse: one slice add of y per nonzero term of x, into one buffer
+        # Sparse: the product of the two supports, added into one buffer
         # sized exactly for the product.  Each output coefficient sums at
-        # most one product per term, so sum |c| * bound(b) bounds them all.
+        # most one product per term of x, so sum |c| * bound(b) bounds every
+        # partial sum and every product.
         s, x, y = _common(a, b)
-        nz = x.nonzero()[0]
-        cs = x[nz].tolist()
-        bound = sum(abs(c) for c in cs) * b._bound
+        ka = _support(x)
+        ca = x[ka]
+        bound = sum(abs(c) for c in ca.tolist()) * b._bound
         dtype = _dtype(bound)
-        y = y.astype(dtype, copy=False)
+        ca = ca.astype(dtype, copy=False)
         out = np.zeros(len(x) + len(y) - 1, dtype=dtype)
-        _add_shifted(out, nz.tolist(), cs, y)
+        nonzero = y != 0
+        if int(np.count_nonzero(nonzero)) * _SCATTER_COST > len(y) + _TERM_COST:
+            # The kernel would not scatter, since one shifted add of y costs
+            # less than its products: add y as it is, with no support built.
+            _add_shifted(out, ka.tolist(), ca.tolist(), y.astype(dtype, copy=False))
+        else:
+            kb = nonzero.nonzero()[0]
+            _add_product(out, ka, ca, kb, y[kb].astype(dtype, copy=False))
         return _make(a.val + b.val, out, bound, s)
 
     __rmul__ = __mul__
@@ -592,7 +661,7 @@ class LaurentPoly:
             raise NotDivisible("degree span smaller than the divisor's")
         rem = x.tolist()
         btop = int(y[-1])
-        nz = y.nonzero()[0]
+        nz = _support(y)
         terms = list(zip(nz.tolist(), y[nz].tolist()))
         q = [0] * (len(rem) - nb + 1)
         for k in range(len(rem) - 1, nb - 2, -1):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from cablejones import jones
+from cablejones import jones, laurent
 from cablejones.asympt import growth_table
 from cablejones.jones import colored_jones
 from cablejones.laurent import (
@@ -23,6 +23,7 @@ from cablejones.laurent import (
     NotDivisible,
     RootOfUnityPoint,
     _EQ_BYTES_MAX,
+    _add_product,
     _make,
     divide_by_quantum_integer,
     quantum_integer,
@@ -141,10 +142,41 @@ def all_pairs(rng):
 
 
 def no_convolve(monkeypatch):
-    """Make any product that would convolve fail, so it must add slices."""
+    """Make any product that would convolve fail, so it must take the
+    sparse path."""
     def fail(*args, **kwargs):
         raise AssertionError("the product convolved")
     monkeypatch.setattr(np, "convolve", fail)
+
+
+SCATTER, SHIFTED = 0, 10 ** 18  # laurent._SCATTER_COST values that force one regime
+
+
+def sparse_regimes(monkeypatch):
+    """Run a loop body once with each regime of the sparse product forced,
+    checking that its products took that regime and never convolved."""
+    no_convolve(monkeypatch)
+    shifted = []
+    add_shifted = laurent._add_shifted
+
+    def spy(*args):
+        shifted.append(True)
+        add_shifted(*args)
+
+    monkeypatch.setattr(laurent, "_add_shifted", spy)
+    for cost in (SCATTER, SHIFTED):
+        monkeypatch.setattr(laurent, "_SCATTER_COST", cost)
+        shifted.clear()
+        yield cost
+        assert bool(shifted) == (cost == SHIFTED)
+
+
+def ring_terms(rng, span: int) -> list:
+    """Five terms with distinct exponents spanning exactly `span`."""
+    lo = rng.randint(-5 * 10 ** 5, 5 * 10 ** 5 - span)
+    inner = rng.sample(range(lo + 1, lo + span), 3)
+    return [(e, rng.choice((-1, 1)) * rng.randint(1, 10 ** 6))
+            for e in sorted((lo, *inner, lo + span))]
 
 
 # -- the referee --------------------------------------------------------------
@@ -199,14 +231,54 @@ class TestReferee:
 
     def test_sparse_products(self, rng, monkeypatch):
         # Each factor is a pair of far-apart copies, so the shorter one is
-        # sparse and every product takes the slice-add branch.
-        no_convolve(monkeypatch)
-        pairs = list(all_pairs(rng))
-        for a, b in pairs:
+        # sparse and every product takes the sparse path.
+        pairs = []
+        for a, b in all_pairs(rng):
             x = a + a.scale_shift(rng.choice((1, -1, 2, -7)), 5000 + rng.randint(0, 40))
             y = b + b.scale_shift(rng.choice((1, -1, 3)), 9000 + rng.randint(0, 40))
-            check(x * y, ref_mul(ref(x), ref(y)))
-            check(y * x, ref_mul(ref(x), ref(y)))
+            pairs.append((x, y, ref_mul(ref(x), ref(y))))
+        for _ in sparse_regimes(monkeypatch):
+            for x, y, expected in pairs:
+                check(x * y, expected)
+                check(y * x, expected)
+
+    def test_ring_shaped_sparse_products(self, rng, monkeypatch):
+        # Five terms a factor at spans near 1e6, as in the benchmark's
+        # sparse ring cases, and (1 + A^k)(1 - A^k) = 1 - A^2k, whose middle
+        # term cancels.  The ends of a product are the products of the
+        # factors' ends, so they never cancel.
+        pairs = []
+        for span in (9 * 10 ** 5, 10 ** 6 - 1, 10 ** 6):
+            a = LaurentPoly.from_terms(ring_terms(rng, span))
+            b = LaurentPoly.from_terms(ring_terms(rng, span - rng.randint(0, 1000)))
+            pairs.append((a, b))
+        k = 3 * 10 ** 5
+        pairs.append((LaurentPoly.from_terms([(0, 1), (k, 1)]),
+                      LaurentPoly.from_terms([(-7, 1), (k - 7, -1)])))
+        monkeypatch.setattr(laurent, "_SCATTER_CHUNK", 7)  # one row a chunk
+        for _ in sparse_regimes(monkeypatch):
+            for a, b in pairs:
+                p = a * b
+                check(p, ref_mul(ref(a), ref(b)))
+                assert p.step == 1 and len(p.coeffs) == len(a.coeffs) + len(b.coeffs) - 1
+        assert ref(pairs[-1][0] * pairs[-1][1]) == {-7: 1, 2 * k - 7: -1}
+
+    def test_sparse_product_kernel_with_a_one_term_factor(self, monkeypatch):
+        # The kernel on its own: out[ka + kb] += ca cb, a one-term side first
+        # or second, against a loop over the terms.
+        kb = np.array([0, 3, 4, 900], dtype=np.int64)
+        cb = np.array([5, -1, 2, -7], dtype=np.int64)
+        for _ in sparse_regimes(monkeypatch):
+            for ka, ca in ((np.array([0]), np.array([3])), (np.array([0]), np.array([-1])),
+                           (np.array([0, 6]), np.array([1, 4]))):
+                for args in ((ka, ca, kb, cb), (kb, cb, ka, ca)):
+                    out = np.zeros(int(ka[-1] + kb[-1]) + 1, dtype=np.int64)
+                    _add_product(out, *args)
+                    expected = np.zeros_like(out)
+                    for i, c in zip(ka.tolist(), ca.tolist()):
+                        for j, d in zip(kb.tolist(), cb.tolist()):
+                            expected[i + j] += c * d
+                    assert out.tolist() == expected.tolist()
 
     def test_residue_sums(self, rng):
         for a, b in all_pairs(rng):
@@ -223,28 +295,38 @@ class TestInt64Edge:
     def test_sparse_product_bound_passes_the_edge(self, monkeypatch):
         # sum |c| * bound(y) = 2^62 puts the buffer on Python ints; the
         # overlap cancels, so the exact result fits int64 and comes back so.
-        no_convolve(monkeypatch)
+        # Just below, at 2^62 - 1, the buffer is int64 and so is the result.
         y = LaurentPoly(0, [1] * 20001)
-        x = LaurentPoly.from_terms([(0, 2 ** 61), (10 ** 4, -(2 ** 61))])
-        check(x * y, ref_mul(ref(x), ref(y)))
-        assert (x * y).max_abs_coeff() == 2 ** 61
-        # With the far sign flipped the overlap adds up to 2^62: object.
-        x = LaurentPoly.from_terms([(0, 2 ** 61), (10 ** 4, 2 ** 61)])
-        check(x * y, ref_mul(ref(x), ref(y)))
-        assert (x * y).max_abs_coeff() == 2 ** 62
+        buffers = []
+
+        def spy(val, arr, *args):
+            buffers.append(arr.dtype)
+            return make(val, arr, *args)
+
+        make = laurent._make
+        monkeypatch.setattr(laurent, "_make", spy)
+        for _ in sparse_regimes(monkeypatch):
+            for c, d, buf, top in ((2 ** 61, -(2 ** 61), object, 2 ** 61),
+                                   (2 ** 61, 2 ** 61, object, 2 ** 62),
+                                   (2 ** 61 - 1, 2 ** 61, np.int64, 2 ** 62 - 1)):
+                x = LaurentPoly.from_terms([(0, c), (10 ** 4, d)])
+                buffers.clear()
+                p = x * y
+                check(p, ref_mul(ref(x), ref(y)))
+                assert p.max_abs_coeff() == top and buffers == [np.dtype(buf)]
 
     def test_sparse_product_leaves_its_factors_alone(self, monkeypatch):
         # Terms of +-1 add y as it is; the result owns a fresh read-only
         # array of exactly the product's length.
-        no_convolve(monkeypatch)
         y = LaurentPoly(-3, [2, -1, 5] * 3000)
         x = LaurentPoly.from_terms([(0, 1), (4000, -1), (8000, 3)])
         before = y.coeffs.copy()
-        p = x * y
-        check(p, ref_mul(ref(x), ref(y)))
-        assert (y.coeffs == before).all() and not p.coeffs.flags.writeable
-        assert not np.shares_memory(p.coeffs, y.coeffs)
-        assert len(p.coeffs.base) == len(p.coeffs) == len(x.coeffs) + len(y.coeffs) - 1
+        for _ in sparse_regimes(monkeypatch):
+            p = x * y
+            check(p, ref_mul(ref(x), ref(y)))
+            assert (y.coeffs == before).all() and not p.coeffs.flags.writeable
+            assert not np.shares_memory(p.coeffs, y.coeffs)
+            assert len(p.coeffs.base) == len(p.coeffs) == len(x.coeffs) + len(y.coeffs) - 1
 
     def test_derivative_at_huge_exponent(self):
         for c in (7, 2 ** 20, 2 ** 61):
@@ -431,16 +513,16 @@ class TestStridedStorage:
                 assert abs(p.eval_at_root(pt) - expected) <= 1e-12 * scale
 
     def test_sparse_product_takes_the_gcd_lattice(self, monkeypatch):
-        # A far term keeps the shorter factor sparse, so the slice-add
-        # branch runs, on the lattice gcd(step_x, step_y).
-        no_convolve(monkeypatch)
-        for sx in (4, 2, 1, 6):
-            for sy in (4, 2, 1, 6):
-                x = strided(2, sx, [3, 0, -1] + [0] * 3000 + [2])
-                y = strided(-7, sy, [k % 5 - 2 or 1 for k in range(3500)])
-                p = x * y
-                check(p, ref_mul(ref(x), ref(y)))
-                assert p.step == math.gcd(sx, sy)
+        # A far term keeps the shorter factor sparse, so the sparse path
+        # runs, on the lattice gcd(step_x, step_y).
+        for _ in sparse_regimes(monkeypatch):
+            for sx in (4, 2, 1, 6):
+                for sy in (4, 2, 1, 6):
+                    x = strided(2, sx, [3, 0, -1] + [0] * 3000 + [2])
+                    y = strided(-7, sy, [k % 5 - 2 or 1 for k in range(3500)])
+                    p = x * y
+                    check(p, ref_mul(ref(x), ref(y)))
+                    assert p.step == math.gcd(sx, sy)
 
     def test_equality_across_steps(self):
         q = quantum_integer(3)

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cablejones import jones
+from cablejones import jones, laurent
 from cablejones.jones import (
     _ZERO,
     _lattice_indices,
@@ -400,7 +400,7 @@ ITERATED_B = "cable(3,2;1;cable(2,3;1;unknot))"
 @pytest.fixture(params=[None, SCATTER, SHIFTED], ids=["rule", "scatter", "shifted"])
 def regime(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(jones, "_SCATTER_COST", request.param)
+        monkeypatch.setattr(laurent, "_SCATTER_COST", request.param)
     return request.param
 
 
@@ -447,8 +447,8 @@ class TestConnectedSumKernel:
 
     @pytest.mark.parametrize("chunk", [1, 3, 150])  # 150: several rows a chunk
     def test_scatter_in_small_chunks(self, monkeypatch, chunk):
-        monkeypatch.setattr(jones, "_SCATTER_COST", SCATTER)
-        monkeypatch.setattr(jones, "_SCATTER_CHUNK", chunk)
+        monkeypatch.setattr(laurent, "_SCATTER_COST", SCATTER)
+        monkeypatch.setattr(laurent, "_SCATTER_CHUNK", chunk)
         kernel_agrees(monkeypatch, f"connsum({T23},1;{T25},1)", [(2,), (3,), (10,)])
         kernel_agrees(monkeypatch, f"connsum(connsum({T23},1;{T25},1),1;unknot,1)",
                       [(4,)])
@@ -483,7 +483,7 @@ class TestConnectedSumGuards:
         # N_l = c [n] (1 + x + ... + x^7) (A^2 - A^-2) and likewise N_r with
         # d and [m]: 16 terms each, so sum |N_l| sum |N_r| = 256 c d, while a
         # product coefficient reaches 16 c d (8 c d once divided).
-        monkeypatch.setattr(jones, "_SCATTER_COST", force)
+        monkeypatch.setattr(laurent, "_SCATTER_COST", force)
         dtypes = []
         divide = jones._divide_binomial
 
@@ -512,7 +512,7 @@ class TestConnectedSumGuards:
         three = numerator_of(quantum_integer(3))
         two = numerator_of(quantum_integer(2))
         for force in (SCATTER, SHIFTED):
-            monkeypatch.setattr(jones, "_SCATTER_COST", force)
+            monkeypatch.setattr(laurent, "_SCATTER_COST", force)
             with pytest.raises(NotDivisible, match="remainder"):
                 self.kernel(three, two, 4)
             # Shorter than the divisor: (A^2 - A^-2)^2 over A^10 - A^-10.
