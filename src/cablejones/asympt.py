@@ -149,7 +149,22 @@ _CHUNK = 1 << 18  # terms per pass of _moment_columns: temporaries of a few MB
 def _moment_columns(num, m: int, k: int) -> np.ndarray:
     """X_i[r] = sum c q^i for i <= k, over the terms c A^(m q + r) of
     X = num (A^2 - A^-2)^(k - 1): k copies of num, each shifted by
-    A^(2(k - 1) - 4t) and signed (-1)^t C(k - 1, t), added in turn."""
+    A^(2(k - 1) - 4t) and signed (-1)^t C(k - 1, t), added in turn.
+
+    The columns are int64 when a bound on the terms keeps every sum, and
+    sum_r |X_i[r]| as _exact_value needs, below 2^62; otherwise they hold
+    Python ints.  Past that bound, for k > 1, they are first summed in
+    wrapping int64 next to a float64 shadow of the same sums.  A wrapped sum
+    is exact mod 2^64, so it is the true sum when that lies within 2^62, and
+    the shadow proves it.  Each term takes at most k + 4 roundings and each
+    column at most L additions, so a shadow sum is within
+    (L + k + 4) 2^-52 mass of the true sum, mass = 2^(k-1) sum |c| qmax^k
+    bounding every copy's sum |c| |q|^i (the factor is twice the textbook
+    one, which leaves room for its own rounding).  Shadows below 2^61 and
+    an error below 2^61 leave every true sum within 2^62.  Such columns are
+    handed on as Python ints, as the Python-int sums would be, so that the
+    value does not change in its last digit.
+    """
     exps, coeffs, bound = num
     # A copy's |q| <= (top + 2k - 2) // m + 1 <= qmax as m >= 4, and the
     # copies' coefficients add up to at most 2^(k-1) sum |c|, so every column
@@ -157,23 +172,48 @@ def _moment_columns(num, m: int, k: int) -> np.ndarray:
     qmax = _top(num) // m + k
     dtype = _dtype(2 ** (k - 1) * len(exps) * bound * qmax ** k)
     if dtype is object:
-        dtype = _dtype(2 ** (k - 1) * _abs_sum(num) * qmax ** k)
+        mass = 2 ** (k - 1) * _abs_sum(num) * qmax ** k
+        dtype = _dtype(mass)
+    if dtype is object and k > 1 and exps.dtype != object and coeffs.dtype != object:
+        # k copies of each term, and one more addition per pass.
+        additions = k * (len(exps) + -(-len(exps) // _CHUNK))
+        if mass * (additions + k + 4) < 2 ** 113:
+            x, shadow = _sum_columns(exps, coeffs, m, k, np.int64, shadow=True)
+            if np.abs(shadow).max() < 2.0 ** 61:  # False on inf or nan
+                return x.astype(object)
+    return _sum_columns(exps, coeffs, m, k, dtype)[0]
+
+
+def _sum_columns(exps, coeffs, m: int, k: int, dtype, shadow: bool = False):
+    """_moment_columns' columns X summed in `dtype` (wrapping in int64), and
+    with `shadow` the same sums in float64 (else None)."""
     x = np.zeros((k + 1, m), dtype=dtype)
+    s = np.zeros((k + 1, m)) if shadow else None
     for t in range(k):
         d, sign = 2 * (k - 1) - 4 * t, (-1) ** t * math.comb(k - 1, t)
+        fsign = float(sign) if shadow else None
+        if dtype is not object:  # the same sign mod 2^64
+            sign = (sign + 2 ** 63) % 2 ** 64 - 2 ** 63
         for start in range(0, len(exps), _CHUNK):  # no pass for d = 0 or sign = 1
             part = slice(start, start + _CHUNK)
             e = exps[part] + d if d else exps[part]
             q = e // m
             r = (e - q * m).astype(np.int64, copy=False)
-            q = q.astype(dtype, copy=False)
             w = coeffs[part].astype(dtype, copy=False)
+            if shadow:
+                wf, qf = w * fsign, q.astype(float)
+            q = q.astype(dtype, copy=False)
             w = w * sign if sign != 1 else w
             for i in range(k + 1):
                 if i:
                     w = w * q
                 np.add.at(x[i], r, w)
-    return x
+                if shadow:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        if i:
+                            wf = wf * qf
+                        s[i] += np.bincount(r, weights=wf, minlength=m)
+    return x, s
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,12 @@ for links built by cabling and twisting N is a short list of signed
 monomials where J is a long dense run.  A numerator is held as ascending
 distinct exponents with their nonzero coefficients; a cable of the unknot
 is one vectorized sum over m, and a cable of a torus knot (a cable of the
-unknot with one component) one vectorized double sum over m and the
-knot's own m', with |m p + 1| terms per m; any other cable concatenates its
-shifted and scaled children.  Each merges equal exponents once.  A
+unknot with one component) one double sum over m and the knot's own m',
+which copies one shifted prefix of the knot's terms, ordered by |m'|, per
+m; any other cable concatenates its shifted and scaled children.  Each
+merges equal exponents once, with one np.sort of int64 keys that pack the
+exponent above the term's index, or with a stable argsort where the terms
+come in a few ascending runs or the keys would not fit int64.  A
 connected sum has a numerator of its own: the numerator of J_l J_r / [n] is
 N_l J_r / [n], and since [n] (A^2 - A^-2) = A^(2n) - A^(-2n) it is
 N_l N_r / (A^(2n) - A^(-2n)).
@@ -215,7 +218,7 @@ def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
         bound = table.total()
         coeffs = table.array.astype(_dtype(bound), copy=False)
         m = np.arange(-w, w + 1, 2, dtype=_dtype(top))
-        return _merge(*_unknot_cable(m, p, rg, coeffs), bound)
+        return _merge(*_unknot_cable(m, p, rg, coeffs), bound, few_runs=True)
     knot = e.child
     if (isinstance(knot, Cable) and isinstance(knot.child, Unknot)
             and cable_gcd(knot.r, knot.s) == 1):  # a torus knot
@@ -256,8 +259,7 @@ def _unknot_cable(m: np.ndarray, p: int, rg: int, coeffs: np.ndarray):
 
 def _torus_knot_terms(knot: Cable, table, p: int, rg: int, reach: int):
     """The unmerged (exps, coeffs, bound) of the cable, with trinomial table
-    `table`, of the torus knot `knot`; unmerged, so that the index arrays
-    here are freed before _merge runs.
+    `table`, of the torus knot `knot`.
 
     The knot colored n is the cable of the unknot with p2 = s', rg2 = r'
     and a table of ones over m2 = -(n - 1) .. n - 1 step 2, so the whole
@@ -267,6 +269,11 @@ def _torus_knot_terms(knot: Cable, table, p: int, rg: int, reach: int):
     that summing the children one by one gives.  The largest |j| is
     w2 + 1 = w p + 1, so every exponent and every intermediate stays within
     `top`.
+
+    Every |j| - 1 has the parity of w2, so the knot colored |j| is the knot
+    colored w2 + 1 cut to its m2 with |m2| < |j|.  With the knot's terms laid
+    out by ascending |m2|, that is their first 2|j|, and each m copies one
+    shifted prefix into the output; an m with j = 0 copies none.
     """
     p2, rg2 = knot.s, knot.r
     w = table.width
@@ -275,38 +282,72 @@ def _torus_knot_terms(knot: Cable, table, p: int, rg: int, reach: int):
               abs(rg), p, abs(rg2), p2)
     m = np.arange(-w, w + 1, 2, dtype=_dtype(top))
     j = m * p + 1
-    sizes = np.abs(j).astype(np.int64)  # an m with j = 0 owns no terms
-    bound = int((table.array.astype(object) * sizes).sum())
+    colors = np.abs(j).astype(np.int64)
+    bound = int((table.array.astype(object) * colors).sum())
     weights = table.array.astype(_dtype(bound), copy=False)
-    coeffs = np.where(j > 0, weights, -weights)
+    sizes = 2 * colors  # the knot colored n has 2n terms
 
-    # Every |j| - 1 has the parity of w2, so the knot colored |j| has the
-    # terms of the knot colored w2 + 1 with |m2| < |j|.  Each m takes them in
-    # ascending exponent, which leaves _merge one sorted run per m.
-    m2 = np.arange(-w2, w2 + 1, 2, dtype=m.dtype)
-    knot_exps, signs = _unknot_cable(m2, p2, rg2, np.ones(len(m2), dtype=np.int64))
-    # The stable kind is _merge's; the default one would load a second sort
-    # kernel, about 0.2 MB more resident memory for a small table.
-    order = np.argsort(knot_exps, kind="stable")
-    mask = np.abs(np.concatenate((m2, m2)))[order] < sizes[:, None]
-    owner, term = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    term = order[term]
-    exps = knot_exps[term]
-    exps += (rg * m * (m * p + 2))[owner]
-    coeffs = coeffs[owner]
-    coeffs *= signs[term]
+    # m2 = 0, -2, 2, -4, 4, ... (w2 even) or -1, 1, -3, 3, ... (w2 odd), each
+    # giving the pair -A^(shift - j2), +A^(shift + j2).
+    half = np.arange(w2 % 2, w2 + 1, 2, dtype=m.dtype)
+    m2 = np.stack((-half, half), axis=1).reshape(-1)[1 - w2 % 2:]
+    shift, j2 = rg2 * m2 * (m2 * p2 + 2), 2 * (m2 * p2 + 1)
+    knot_exps = np.stack((shift - j2, shift + j2), axis=1).reshape(-1)
+
+    exps = np.empty(int(sizes.sum()), dtype=m.dtype)
+    end = 0
+    for offset, size in zip((rg * m * (m * p + 2)).tolist(), sizes.tolist()):
+        np.add(knot_exps[:size], offset, out=exps[end:end + size])
+        end += size
+    # Every prefix has even length, so the pairs' signs alternate throughout.
+    coeffs = np.repeat(np.where(j > 0, weights, -weights), sizes)
+    np.negative(coeffs[::2], out=coeffs[::2])
     return exps, coeffs, bound
 
 
-def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int) -> _Numerator:
+# Packed sort keys ((exp - lo) << b) | index must stay within int64.
+_KEY_MAX = (1 << 63) - 1
+
+
+def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int,
+           few_runs: bool = False) -> _Numerator:
     """Sum the coefficients of equal exponents and drop the zeros.
 
     At one exponent, the terms from one m add up in absolute value to at
     most C[m] times its child's bound, so every partial sum stays within
     `bound`.
+
+    The terms are put in exponent order by one np.sort of the int64 keys
+    ((exp - lo) << b) | index, b = bit_length(n - 1) for n terms, lo and hi
+    the least and greatest exponent.  The low b bits hold the index, so the
+    keys are distinct, their order is the exponents' stable order, and
+    key & (2^b - 1) is the permutation.  Every key is at most
+    ((hi - lo) << b) | (n - 1), which is checked against 2^63 - 1 in exact
+    integers, so no key wraps.
+
+    Object exponents, a span too wide for the shift, and terms that come in
+    a few ascending runs (`few_runs`) take a stable argsort instead, whose
+    timsort merges a few runs in linear time.  A cable of the unknot gives
+    at most four runs, and on its terms packing measured 25-65% slower from
+    64 to 33k terms.  Concatenated children (one run per m) take the packed
+    sort: there it measured 1.3-2x faster from 30k terms up, and about 20%
+    slower below 6k.
     """
-    order = np.argsort(exps, kind="stable")
-    exps = exps[order]
+    n = len(exps)
+    b = (n - 1).bit_length()
+    lo = None if few_runs or exps.dtype == object else int(exps.min())
+    if lo is not None and ((int(exps.max()) - lo) << b) | (n - 1) <= _KEY_MAX:
+        key = exps - lo
+        key <<= b
+        key |= np.arange(n, dtype=np.int64)
+        key.sort()
+        order = key & ((1 << b) - 1)
+        key >>= b
+        key += lo
+        exps = key
+    else:
+        order = np.argsort(exps, kind="stable")
+        exps = exps[order]
     starts = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))
     sums = np.add.reduceat(coeffs[order], starts)
     keep = sums != 0

@@ -379,6 +379,57 @@ class TestGuards:
             growth_table(parse("unknot"), [n])
 
 
+class TestMomentColumns:
+    """Past their static bound, the columns at k > 1 are summed in wrapping
+    int64 with a float shadow; they must equal the Python-int sums."""
+
+    @staticmethod
+    def columns(monkeypatch, num, k):
+        calls = []
+        sum_columns = asympt._sum_columns
+
+        def spy(exps, coeffs, m, k, dtype, shadow=False):
+            calls.append((dtype, shadow))
+            return sum_columns(exps, coeffs, m, k, dtype, shadow)
+        monkeypatch.setattr(asympt, "_sum_columns", spy)
+        x = asympt._moment_columns(num, 16, k)
+        expected = sum_columns(num.exps, num.coeffs, 16, k, object)[0]
+        assert x.tolist() == expected.tolist()
+        return calls, x
+
+    @staticmethod
+    def numerator(top, coeff=0):
+        # -+1 at q = top - 1 and +-1 at q = top in two columns mod 16, so each
+        # sum of c q^i is below i top^(i-1) while top^k passes 2^62; and coeff
+        # at q = top in a third column.
+        exps = [16 * (top - 1) + 1, 16 * (top - 1) + 5, 16 * top + 1, 16 * top + 5]
+        coeffs = [-1, 1, 1, -1]
+        if coeff:
+            exps.append(16 * top + 9)
+            coeffs.append(coeff)
+        return _Numerator(np.array(exps), np.array(coeffs), max(1, abs(coeff)))
+
+    def test_cancelling_columns_stay_int64(self, monkeypatch):
+        for k, top in ((2, 2 ** 30), (3, 2 ** 20)):
+            calls, x = self.columns(monkeypatch, self.numerator(top), k)
+            # Summed once, in int64, and handed on as Python ints.
+            assert calls == [(np.int64, True)] and x.dtype == object, k
+            assert any(x[k])
+
+    def test_sums_past_the_proof_are_summed_again(self, monkeypatch):
+        # 16 (2^20)^3 = 2^64 in a column: the int64 sum wraps, the shadow sees it.
+        calls, x = self.columns(monkeypatch, self.numerator(2 ** 20, 16), 3)
+        assert calls == [(np.int64, True), (object, False)]
+        assert max(abs(v) for v in x[3]) >= 2 ** 64
+
+    def test_split_multiplicity_one_keeps_its_dtype_rule(self, monkeypatch):
+        # sum |c| qmax = (2^40 + 4)(2^22 + 1) passes 2^62: no shadow at k = 1.
+        calls, x = self.columns(monkeypatch, self.numerator(2 ** 22, 2 ** 40), 1)
+        assert calls == [(object, False)] and x.dtype == object
+        calls, x = self.columns(monkeypatch, self.numerator(2 ** 20, 1), 1)
+        assert calls == [(np.int64, False)] and x.dtype == np.int64
+
+
 class TestConnectedSumNumerator:
     def test_bound_covers_n_and_j(self):
         for text in (T23_T25, "connsum(cable(2,3;1;unknot),1;cable(0,2;1;unknot),1)",

@@ -12,6 +12,9 @@ The connected-sum kernel (sparse product, then division by
 A^(2n) - A^(-2n)) has a referee of its own: the step-4 product with a dense
 J and division by [n] that it replaced, which must give the same numerator
 entry for entry in each regime of the product.
+
+Merging equal exponents has a referee too: a dict of sums, on both of
+_merge's sorts, at the edge where its packed int64 keys stop fitting.
 """
 
 from dataclasses import replace
@@ -218,6 +221,35 @@ class TestCableOverATorusKnot:
         # p = 1: the child color m + 1 passes 0 and goes negative.
         batched_agrees("cable(1,1;1;cable(2,3;1;unknot))", (1,), (2,), (5,), (8,))
         batched_agrees("cable(-3,1;1;cable(2,5;1;unknot))", (1,), (2,), (5,), (8,))
+        batched_agrees("cable(-3,1;1;cable(-2,3;1;unknot))", (2,), (5,), (8,))
+
+    def test_each_m_copies_a_prefix_of_the_knot(self):
+        # Before the merge, the 2|j| terms that one m owns are the knot
+        # colored |j|, shifted by rg m (m p + 2) and scaled by sign(j) C[m].
+        for text, block in (("cable(-2,5;1;cable(-3,4;1;unknot))", (4,)),
+                            ("cable(-3,1;1;cable(-2,3;1;unknot))", (7,)),
+                            ("cable(2,4;1;cable(2,3;1;unknot))", (5, 6))):
+            e = parse(text)
+            g = cable_gcd(e.r, e.s)
+            p, rg = e.s // g, e.r // g
+            table = trinomial_table(block)
+            w = table.width
+            exps, coeffs, bound = jones._torus_knot_terms(
+                e.child, table, p, rg, abs(rg) * w * (w * p + 2))
+            assert bound == sum(c * abs(m * p + 1) for m, c in table.items())
+            end = 0
+            for m, c in table.items():
+                j = m * p + 1
+                knot = colored_numerator(e.child, (abs(j),)) if j else _ZERO
+                size = 2 * abs(j)
+                assert len(knot.exps) == size
+                shift = rg * m * (m * p + 2)
+                got = dict_sums(exps[end:end + size] - shift, coeffs[end:end + size])
+                sign = 1 if j > 0 else -1
+                assert got == [(int(x), sign * c * int(y))
+                               for x, y in zip(knot.exps, knot.coeffs) if c], (text, m)
+                end += size
+            assert end == len(exps) == len(coeffs)
 
     def test_inner_windings(self):
         batched_agrees("cable(2,3;1;cable(-2,3;1;unknot))", (2,), (5,))
@@ -233,6 +265,71 @@ class TestCableOverATorusKnot:
                        "cable(-2,5;1;unknot),1))", (2,), (4,))
         batched_agrees(f"connsum({ITERATED},1;cable(3,2;1;cable(2,5;1;unknot)),1)",
                        (2,), (3,), (5,))
+
+
+def dict_sums(exps, coeffs) -> list[tuple[int, int]]:
+    """The nonzero sums of coeffs at equal exps, ascending: _merge's referee."""
+    sums: dict[int, int] = {}
+    for e, c in zip(exps.tolist(), coeffs.tolist()):
+        sums[e] = sums.get(e, 0) + c
+    return sorted((e, c) for e, c in sums.items() if c)
+
+
+class TestMerge:
+    """_merge against a dict of sums.  Both sorts must give the same terms;
+    the packed int64 keys are taken exactly when they fit."""
+
+    @staticmethod
+    def merges(monkeypatch, exps, coeffs, packs: bool):
+        exps, coeffs = np.asarray(exps), np.asarray(coeffs)
+        expected = dict_sums(exps, coeffs)
+        argsort = np.argsort
+        for few_runs in (False, True):
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(np, "argsort",
+                           lambda *a, **k: calls.append(1) or argsort(*a, **k))
+                got = jones._merge(exps, coeffs, 7, few_runs)
+            assert bool(calls) == (few_runs or not packs)
+            assert list(zip(got.exps.tolist(), got.coeffs.tolist())) == expected
+            assert got.coeffs.dtype == coeffs.dtype and got.bound == 7
+
+    def test_many_runs_and_few(self, monkeypatch):
+        gen = np.random.default_rng(14)
+        for runs in (1, 3, 48):
+            parts = [np.sort(gen.integers(-300, 300, gen.integers(1, 60)))
+                     for _ in range(runs)]
+            exps = np.concatenate(parts)
+            self.merges(monkeypatch, exps, gen.integers(-5, 6, len(exps)), True)
+        table = trinomial_table((9,))
+        m = np.arange(-table.width, table.width + 1, 2)
+        self.merges(monkeypatch, *jones._unknot_cable(m, 3, -2, table.array), True)
+
+    def test_duplicates_cancellation_and_one_term(self, monkeypatch):
+        self.merges(monkeypatch, [-3, -3, 1, 1, 1, 5], [2, -2, 1, 1, -1, 7], True)
+        self.merges(monkeypatch, [-8, 4, 4, -8], [1, 3, -3, -1], True)  # all cancel
+        self.merges(monkeypatch, [-11], [4], True)
+
+    def test_key_at_the_edge_of_int64(self, monkeypatch):
+        # 4 terms, b = 2: a span of 2^61 - 1 gives the key 2^63 - 1, and one
+        # more overflows, so the stable argsort takes over.
+        lo = -(2 ** 60)
+        for hi, packs in ((2 ** 60 - 1, True), (2 ** 60, False)):
+            self.merges(monkeypatch, [hi, lo, hi, 0], [1, 2, 3, 4], packs)
+            self.merges(monkeypatch, [hi, lo, lo, hi], [1, 2, 3, 4], packs)
+
+    def test_object_exponents_and_coefficients(self, monkeypatch):
+        big = 2 ** 70
+        exps = np.array([big, -big, big, 3], dtype=object)
+        self.merges(monkeypatch, exps, np.array([1, 2, -1, 5]), False)
+        coeffs = np.array([big, 5, -big, 2 ** 65], dtype=object)
+        self.merges(monkeypatch, np.array([9, -2, 9, 0]), coeffs, True)
+
+    def test_more_than_two_to_the_sixteen_terms(self, monkeypatch):
+        gen = np.random.default_rng(16)
+        n = (1 << 16) + 5  # b = 17
+        exps = gen.integers(-10 ** 6, 10 ** 6, n)
+        self.merges(monkeypatch, exps, gen.integers(-3, 4, n), True)
 
 
 class TestCoefficientGuards:
