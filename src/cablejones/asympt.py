@@ -145,6 +145,10 @@ def _value(num, n: int, split_mult: int) -> complex:
 
 _CHUNK = 1 << 18  # terms per pass of _moment_columns: temporaries of a few MB
 
+# Primes below 2^31: a product of residues stays below 2^62, and a chunk's
+# sum of residues below _CHUNK 2^31 = 2^49.
+_PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)
+
 
 def _moment_columns(num, m: int, k: int) -> np.ndarray:
     """X_i[r] = sum c q^i for i <= k, over the terms c A^(m q + r) of
@@ -153,17 +157,16 @@ def _moment_columns(num, m: int, k: int) -> np.ndarray:
 
     The columns are int64 when a bound on the terms keeps every sum, and
     sum_r |X_i[r]| as _exact_value needs, below 2^62; otherwise they hold
-    Python ints.  Past that bound, for k > 1, they are first summed in
-    wrapping int64 next to a float64 shadow of the same sums.  A wrapped sum
-    is exact mod 2^64, so it is the true sum when that lies within 2^62, and
-    the shadow proves it.  Each term takes at most k + 4 roundings and each
-    column at most L additions, so a shadow sum is within
-    (L + k + 4) 2^-52 mass of the true sum, mass = 2^(k-1) sum |c| qmax^k
-    bounding every copy's sum |c| |q|^i (the factor is twice the textbook
-    one, which leaves room for its own rounding).  Shadows below 2^61 and
-    an error below 2^61 leave every true sum within 2^62.  Such columns are
-    handed on as Python ints, as the Python-int sums would be, so that the
-    value does not change in its last digit.
+    Python ints.  Past that bound, for k > 1, they are summed in wrapping
+    int64 and also modulo the first one or two primes of _PRIMES, each term
+    reduced as (c mod p)(q mod p) mod p.  A wrapped sum is the true one mod
+    2^64, so with the residues it is fixed mod 2^64 P, P the product of the
+    primes (CRT), and that is the true sum whenever every |sum| lies below
+    2^63 P.  mass = 2^(k-1) sum |c| qmax^k bounds every copy's sum
+    |c| |q|^i, so one prime serves while mass < 2^63 p1 and two while
+    mass < 2^63 p1 p2 (2^125).  The lifted columns are handed on as Python
+    ints, as the Python-int sums would be, so that the value does not change
+    in its last digit.  A larger mass takes the Python-int sums.
     """
     exps, coeffs, bound = num
     # A copy's |q| <= (top + 2k - 2) // m + 1 <= qmax as m >= 4, and the
@@ -175,45 +178,66 @@ def _moment_columns(num, m: int, k: int) -> np.ndarray:
         mass = 2 ** (k - 1) * _abs_sum(num) * qmax ** k
         dtype = _dtype(mass)
     if dtype is object and k > 1 and exps.dtype != object and coeffs.dtype != object:
-        # k copies of each term, and one more addition per pass.
-        additions = k * (len(exps) + -(-len(exps) // _CHUNK))
-        if mass * (additions + k + 4) < 2 ** 113:
-            x, shadow = _sum_columns(exps, coeffs, m, k, np.int64, shadow=True)
-            if np.abs(shadow).max() < 2.0 ** 61:  # False on inf or nan
-                return x.astype(object)
+        for count in range(1, len(_PRIMES) + 1):
+            primes = _PRIMES[:count]
+            if mass < 2 ** 63 * math.prod(primes):
+                return _lift(*_sum_columns(exps, coeffs, m, k, np.int64, primes), primes)
     return _sum_columns(exps, coeffs, m, k, dtype)[0]
 
 
-def _sum_columns(exps, coeffs, m: int, k: int, dtype, shadow: bool = False):
+def _lift(x: np.ndarray, residues: np.ndarray, primes) -> np.ndarray:
+    """The Python ints X with X = x mod 2^64 and X = residues[j] mod
+    primes[j], taken in [-2^63 P, 2^63 P) for P the product of the primes.
+
+    X = x + 2^64 t, where the residues fix t mod P one prime at a time
+    (Garner), and t is taken in [-(P - 1)/2, (P - 1)/2]; as x lies in
+    [-2^63, 2^63), that puts X in the range.  With P < 2^62 every int64
+    step stays below 2^62 + 2^31.
+    """
+    t, modulus = np.zeros_like(x), 1
+    for p, r in zip(primes, residues):
+        # The digit d with x + 2^64 (t + modulus d) = r mod p.
+        d = (r - x % p - t % p * (2 ** 64 % p)) % p
+        t += modulus * (d * pow(2 ** 64 * modulus, -1, p) % p)
+        modulus *= p
+    t[t > modulus // 2] -= modulus
+    return x.astype(object) + t.astype(object) * 2 ** 64
+
+
+def _sum_columns(exps, coeffs, m: int, k: int, dtype, primes=()):
     """_moment_columns' columns X summed in `dtype` (wrapping in int64), and
-    with `shadow` the same sums in float64 (else None)."""
+    the same sums modulo each of `primes`, one (k + 1, m) block per prime
+    (None without primes)."""
     x = np.zeros((k + 1, m), dtype=dtype)
-    s = np.zeros((k + 1, m)) if shadow else None
-    for t in range(k):
-        d, sign = 2 * (k - 1) - 4 * t, (-1) ** t * math.comb(k - 1, t)
-        fsign = float(sign) if shadow else None
-        if dtype is not object:  # the same sign mod 2^64
-            sign = (sign + 2 ** 63) % 2 ** 64 - 2 ** 63
-        for start in range(0, len(exps), _CHUNK):  # no pass for d = 0 or sign = 1
-            part = slice(start, start + _CHUNK)
+    res = np.zeros((len(primes), k + 1, m), dtype=np.int64) if primes else None
+    for start in range(0, len(exps), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        c = coeffs[part].astype(dtype, copy=False)
+        # x - x // p * p is x mod p, and faster than np.remainder.
+        c_mod = [c - c // p * p for p in primes]
+        for t in range(k):  # no pass for d = 0 or sign = 1
+            d, sign = 2 * (k - 1) - 4 * t, (-1) ** t * math.comb(k - 1, t)
             e = exps[part] + d if d else exps[part]
             q = e // m
             r = (e - q * m).astype(np.int64, copy=False)
-            w = coeffs[part].astype(dtype, copy=False)
-            if shadow:
-                wf, qf = w * fsign, q.astype(float)
+            for j, p in enumerate(primes):
+                w, q_mod = c_mod[j], q - q // p * p
+                sums = np.zeros((k + 1, m), dtype=np.int64)  # within _CHUNK p < 2^49
+                for i in range(k + 1):
+                    if i:
+                        w = w * q_mod
+                        w -= w // p * p
+                    np.add.at(sums[i], r, w)
+                res[j] = (res[j] + sums % p * (sign % p)) % p
+            if dtype is not object:  # the same sign mod 2^64
+                sign = (sign + 2 ** 63) % 2 ** 64 - 2 ** 63
+            w = c * sign if sign != 1 else c
             q = q.astype(dtype, copy=False)
-            w = w * sign if sign != 1 else w
             for i in range(k + 1):
                 if i:
                     w = w * q
                 np.add.at(x[i], r, w)
-                if shadow:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        if i:
-                            wf = wf * qf
-                        s[i] += np.bincount(r, weights=wf, minlength=m)
-    return x, s
+    return x, res
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,18 @@ is one vectorized sum over m, and a cable of a torus knot (a cable of the
 unknot with one component) one double sum over m and the knot's own m',
 which copies one shifted prefix of the knot's terms, ordered by |m'|, per
 m; any other cable concatenates its shifted and scaled children.  Each
-merges equal exponents once, with one np.sort of int64 keys that pack the
-exponent above the term's index, or with a stable argsort where the terms
-come in a few ascending runs or the keys would not fit int64.  A
+merges equal exponents once.  A cable of a torus knot builds its sort keys
+directly on the exponents' lattice, (((e - lo) / g) << c) | (2i + s), with
+i the index of m and s the member of the knot's pair: the low bits pick
+the term's coefficient from a table of 2 len(m) signed weights, so there is
+no index array and no permutation to gather through.  The keys are int32
+when the largest one is below 2^31 and int64 up to 2^63 - 1; past that the
+cable is expanded child by child.  Concatenated children are merged on
+int64 keys that pack the exponent above the term's index, with the
+coefficients as the weights.  Either way one in-place np.sort orders the
+keys, and each exponent's sum is a difference of running sums.  A cable of
+the unknot, whose terms come in a few ascending runs, and keys that would
+not fit int64 take a stable argsort and np.add.reduceat instead.  A
 connected sum has a numerator of its own: the numerator of J_l J_r / [n] is
 N_l J_r / [n], and since [n] (A^2 - A^-2) = A^(2n) - A^(-2n) it is
 N_l N_r / (A^(2n) - A^(-2n)).
@@ -222,7 +231,9 @@ def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
     knot = e.child
     if (isinstance(knot, Cable) and isinstance(knot.child, Unknot)
             and cable_gcd(knot.r, knot.s) == 1):  # a torus knot
-        return _merge(*_torus_knot_terms(knot, table, p, rg, reach))
+        packed = _torus_knot_keys(knot, table, p, rg, reach)
+        if packed is not None:
+            return _merge_packed(packed)
 
     terms = []
     bound = top = 0
@@ -257,56 +268,141 @@ def _unknot_cable(m: np.ndarray, p: int, rg: int, coeffs: np.ndarray):
     return np.concatenate((shift - j2, shift + j2)), np.concatenate((-coeffs, coeffs))
 
 
-def _torus_knot_terms(knot: Cable, table, p: int, rg: int, reach: int):
-    """The unmerged (exps, coeffs, bound) of the cable, with trinomial table
-    `table`, of the torus knot `knot`.
+class _Packed(NamedTuple):
+    """Unmerged terms as sort keys (k << bits) | payload: the term's exponent
+    is lo + step k and its coefficient weights[payload]."""
+
+    keys: np.ndarray  # int32 or int64, each within [0, _KEY_MAX]
+    bits: int
+    weights: np.ndarray
+    lo: int
+    step: int
+    bound: int
+
+
+# Sort keys must stay within int64; up to _KEY32_MAX they are int32.
+_KEY_MAX = (1 << 63) - 1
+_KEY32_MAX = (1 << 31) - 1
+
+
+def _key_dtype(top_key: int):
+    """The dtype of sort keys in [0, top_key]; None past int64."""
+    if top_key <= _KEY32_MAX:
+        return np.int32
+    return np.int64 if top_key <= _KEY_MAX else None
+
+
+def _torus_knot_keys(knot: Cable, table, p: int, rg: int, reach: int) -> _Packed | None:
+    """The terms of the cable, with trinomial table `table`, of the torus
+    knot `knot`, packed; None when their exponents or keys would not fit
+    int64, and the caller then expands the cable child by child.
 
     The knot colored n is the cable of the unknot with p2 = s', rg2 = r'
     and a table of ones over m2 = -(n - 1) .. n - 1 step 2, so the whole
     cable is one double sum over (m, m2) with coefficient sign(j) C[m] for
-    j = m p + 1 and n = |j|.  At one exponent the terms from one m come
-    from distinct m2, so the merged sums stay within sum C[m] |j|, the bound
-    that summing the children one by one gives.  The largest |j| is
-    w2 + 1 = w p + 1, so every exponent and every intermediate stays within
-    `top`.
+    j = m p + 1 and n = |j|.  The largest |j| is w2 + 1 = w p + 1, so every
+    exponent and every intermediate stays within `top`.
 
     Every |j| - 1 has the parity of w2, so the knot colored |j| is the knot
     colored w2 + 1 cut to its m2 with |m2| < |j|.  With the knot's terms laid
-    out by ascending |m2|, that is their first 2|j|, and each m copies one
-    shifted prefix into the output; an m with j = 0 copies none.
+    out by ascending |m2|, as pairs -A^(shift - j2), +A^(shift + j2), that
+    is their first 2|j|, and the m of index i copies one prefix, shifted by
+    its offset rg m (m p + 2); an m with j = 0 copies none.
+
+    A term's key is (((e - lo) / g) << c) | (2i + s).  Here e is its
+    exponent; lo is the least offset plus the least knot exponent, so no
+    greater than any e; g is the gcd of the offsets' and the knot
+    exponents' differences from those least ones, so it divides every
+    e - lo (g = 4 on the iterated cable of the trefoil); s = 0 or 1 is the
+    member of the knot's pair; and c = bit_length(2 len(m) - 1).  The
+    payload 2i + s picks the coefficient -+sign(j) C[m] from a table of
+    2 len(m) weights.  With hi the greatest offset plus the greatest knot
+    exponent, no key exceeds (((hi - lo) / g) << c) | (2^c - 1), which is
+    checked in exact integers: the keys are int32 up to 2^31 - 1 (27 bits
+    at N = 48) and int64 up to 2^63 - 1.
+
+    Each pair of one m sums to 0, so any set of that m's terms sums to at
+    most C[m] per pair: every partial sum of the terms, in any order, stays
+    within sum C[m] |j|, the bound that summing the children one by one
+    gives.
     """
     p2, rg2 = knot.s, knot.r
     w = table.width
     w2 = w * p
     top = max(reach + abs(rg2) * w2 * (w2 * p2 + 2) + 2 * (w2 * p2 + 1),
               abs(rg), p, abs(rg2), p2)
-    m = np.arange(-w, w + 1, 2, dtype=_dtype(top))
+    if _dtype(top) is object:
+        return None
+    m = np.arange(-w, w + 1, 2, dtype=np.int64)
     j = m * p + 1
-    colors = np.abs(j).astype(np.int64)
-    bound = int((table.array.astype(object) * colors).sum())
-    weights = table.array.astype(_dtype(bound), copy=False)
-    sizes = 2 * colors  # the knot colored n has 2n terms
-
-    # m2 = 0, -2, 2, -4, 4, ... (w2 even) or -1, 1, -3, 3, ... (w2 odd), each
-    # giving the pair -A^(shift - j2), +A^(shift + j2).
-    half = np.arange(w2 % 2, w2 + 1, 2, dtype=m.dtype)
+    sizes = 2 * np.abs(j)  # the knot colored n has 2n terms
+    bound = int(table.array.astype(object) @ sizes) // 2
+    # m2 = 0, -2, 2, -4, 4, ... (w2 even) or -1, 1, -3, 3, ... (w2 odd).
+    half = np.arange(w2 % 2, w2 + 1, 2, dtype=np.int64)
     m2 = np.stack((-half, half), axis=1).reshape(-1)[1 - w2 % 2:]
     shift, j2 = rg2 * m2 * (m2 * p2 + 2), 2 * (m2 * p2 + 1)
-    knot_exps = np.stack((shift - j2, shift + j2), axis=1).reshape(-1)
+    # The knot's exponents, turned into its keys in place below.
+    knot_keys = np.stack((shift - j2, shift + j2), axis=1).reshape(-1)
+    offsets = rg * m * (m * p + 2)
 
-    exps = np.empty(int(sizes.sum()), dtype=m.dtype)
-    end = 0
-    for offset, size in zip((rg * m * (m * p + 2)).tolist(), sizes.tolist()):
-        np.add(knot_exps[:size], offset, out=exps[end:end + size])
-        end += size
-    # Every prefix has even length, so the pairs' signs alternate throughout.
-    coeffs = np.repeat(np.where(j > 0, weights, -weights), sizes)
-    np.negative(coeffs[::2], out=coeffs[::2])
-    return exps, coeffs, bound
+    # Keys of offsets[i] + knot_keys[t] - lo, lo the least sum of the two;
+    # an m with j = 0 copies no terms, but its offset still bounds the rest.
+    omin, kmin = int(offsets.min()), int(knot_keys.min())
+    offsets -= omin
+    knot_keys -= kmin
+    g = int(np.gcd.reduce(np.concatenate((offsets, knot_keys)))) or 1
+    c = (2 * len(m) - 1).bit_length()
+    top_key = (int(offsets.max()) + int(knot_keys.max())) // g << c | ((1 << c) - 1)
+    kdtype = _key_dtype(top_key)
+    if kdtype is None:
+        return None
+
+    knot_keys //= g
+    knot_keys <<= c
+    knot_keys[1::2] |= 1
+    knot_keys = knot_keys.astype(kdtype)
+    offsets //= g
+    offsets <<= c
+    offsets += np.arange(0, 2 * len(m), 2)  # now each m's key base
+    ends = np.cumsum(sizes)
+    keys = np.empty(int(ends[-1]), dtype=kdtype)
+    for base, size, end in zip(offsets.tolist(), sizes.tolist(), ends.tolist()):
+        np.add(knot_keys[:size], base, out=keys[end - size:end])
+    weights = np.empty(2 * len(m), dtype=_dtype(bound))
+    weights[1::2] = table.array
+    weights[1::2][j < 0] *= -1
+    np.negative(weights[1::2], out=weights[::2])
+    return _Packed(keys, c, weights, omin + kmin, g, bound)
 
 
-# Packed sort keys ((exp - lo) << b) | index must stay within int64.
-_KEY_MAX = (1 << 63) - 1
+def _merge_packed(packed: _Packed) -> _Numerator:
+    """Sum the packed terms' coefficients at equal exponents, dropping zeros.
+
+    One in-place sort puts the keys in exponent order; each term's
+    coefficient is weights[key & (2^bits - 1)], and each exponent's sum is
+    the difference of the running sums at its last term and at the last
+    term before it.  Such a running sum adds every term at a smaller
+    exponent, which for a sum of shifted and scaled children is a signed
+    sum of the children's running sums, minus coefficients of their J, so
+    within `bound`; and a partial sum of the terms at one exponent, also
+    within `bound`.  So with int64 weights (bound < 2^62) no running sum
+    leaves 2 bound < 2^63; as int64 sums wrap mod 2^64, each difference
+    would be exact even if one did.  Object weights sum exactly.
+    """
+    keys, bits, weights, lo, step, bound = packed
+    keys.sort()
+    coeffs = weights.take(keys & ((1 << bits) - 1))
+    keys >>= bits
+    last = np.empty(len(keys), dtype=bool)  # the last term of each exponent
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[-1] = True
+    sums = np.cumsum(coeffs, out=coeffs)[last]
+    sums[1:] -= sums[:-1].copy()
+    nonzero = sums != 0
+    exps = keys[last][nonzero].astype(np.int64)
+    exps *= step
+    exps += lo
+    return _Numerator(exps, sums[nonzero], bound)
 
 
 def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int,
@@ -317,21 +413,22 @@ def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int,
     most C[m] times its child's bound, so every partial sum stays within
     `bound`.
 
-    The terms are put in exponent order by one np.sort of the int64 keys
+    The terms go to _merge_packed as the int64 keys
     ((exp - lo) << b) | index, b = bit_length(n - 1) for n terms, lo and hi
-    the least and greatest exponent.  The low b bits hold the index, so the
-    keys are distinct, their order is the exponents' stable order, and
-    key & (2^b - 1) is the permutation.  Every key is at most
-    ((hi - lo) << b) | (n - 1), which is checked against 2^63 - 1 in exact
-    integers, so no key wraps.
+    the least and greatest exponent, with the coefficients as the weights:
+    the keys are distinct and their order is the exponents' stable order.
+    Every key is at most ((hi - lo) << b) | (n - 1), which is checked
+    against 2^63 - 1 in exact integers, so no key wraps.  On the merges of
+    two three-level cable chains (2.4k to 26k terms) the running-sum tail
+    took as long as the permutation gather and np.add.reduceat it replaced
+    up to 8k terms, and 3-6% less from 9k up.
 
     Object exponents, a span too wide for the shift, and terms that come in
     a few ascending runs (`few_runs`) take a stable argsort instead, whose
-    timsort merges a few runs in linear time.  A cable of the unknot gives
-    at most four runs, and on its terms packing measured 25-65% slower from
-    64 to 33k terms.  Concatenated children (one run per m) take the packed
-    sort: there it measured 1.3-2x faster from 30k terms up, and about 20%
-    slower below 6k.
+    timsort merges a few runs in linear time, and np.add.reduceat.  A cable
+    of the unknot gives at most four runs.  On its terms packed keys
+    measured 1.2-2x slower (T(2,3) at N = 512: 16.8 us against 10.8 us), and
+    a running-sum tail after the argsort no faster (11.0 us).
     """
     n = len(exps)
     b = (n - 1).bit_length()
@@ -340,14 +437,9 @@ def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int,
         key = exps - lo
         key <<= b
         key |= np.arange(n, dtype=np.int64)
-        key.sort()
-        order = key & ((1 << b) - 1)
-        key >>= b
-        key += lo
-        exps = key
-    else:
-        order = np.argsort(exps, kind="stable")
-        exps = exps[order]
+        return _merge_packed(_Packed(key, b, coeffs, lo, 1, bound))
+    order = np.argsort(exps, kind="stable")
+    exps = exps[order]
     starts = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))
     sums = np.add.reduceat(coeffs[order], starts)
     keep = sums != 0

@@ -381,16 +381,17 @@ class TestGuards:
 
 class TestMomentColumns:
     """Past their static bound, the columns at k > 1 are summed in wrapping
-    int64 with a float shadow; they must equal the Python-int sums."""
+    int64 and modulo two primes, and lifted by CRT; they must equal the
+    Python-int sums."""
 
     @staticmethod
     def columns(monkeypatch, num, k):
         calls = []
         sum_columns = asympt._sum_columns
 
-        def spy(exps, coeffs, m, k, dtype, shadow=False):
-            calls.append((dtype, shadow))
-            return sum_columns(exps, coeffs, m, k, dtype, shadow)
+        def spy(exps, coeffs, m, k, dtype, primes=()):
+            calls.append((dtype, len(primes)))
+            return sum_columns(exps, coeffs, m, k, dtype, primes)
         monkeypatch.setattr(asympt, "_sum_columns", spy)
         x = asympt._moment_columns(num, 16, k)
         expected = sum_columns(num.exps, num.coeffs, 16, k, object)[0]
@@ -412,22 +413,59 @@ class TestMomentColumns:
     def test_cancelling_columns_stay_int64(self, monkeypatch):
         for k, top in ((2, 2 ** 30), (3, 2 ** 20)):
             calls, x = self.columns(monkeypatch, self.numerator(top), k)
-            # Summed once, in int64, and handed on as Python ints.
-            assert calls == [(np.int64, True)] and x.dtype == object, k
+            # Summed once, in int64 and mod one prime, and handed on as Python ints.
+            assert calls == [(np.int64, 1)] and x.dtype == object, k
             assert any(x[k])
 
-    def test_sums_past_the_proof_are_summed_again(self, monkeypatch):
-        # 16 (2^20)^3 = 2^64 in a column: the int64 sum wraps, the shadow sees it.
+    def test_columns_past_int64_are_lifted(self, monkeypatch):
+        # 16 (2^20)^3 = 2^64 in a column: the int64 sum wraps, the residues fix it.
         calls, x = self.columns(monkeypatch, self.numerator(2 ** 20, 16), 3)
-        assert calls == [(np.int64, True), (object, False)]
+        assert calls == [(np.int64, 1)]
         assert max(abs(v) for v in x[3]) >= 2 ** 64
 
+    def test_mass_past_the_lift_range_sums_python_ints(self, monkeypatch):
+        # At k = 2, qmax = top + 2 = 2^40, so mass = (4 + coeff) 2^81; the
+        # column coeff top^2 nears the edge of each prime count's range.
+        p1, p2 = asympt._PRIMES
+        for edge, primes in ((p1 // 2 ** 18, 1), (p1 * p2 // 2 ** 18, 2)):
+            # edge: the largest 4 + coeff with mass below that range
+            for total, dtypes in ((edge, [(np.int64, primes)]),
+                                  (edge + 1, [(np.int64, 2)] if primes == 1 else
+                                   [(object, 0)])):
+                num = self.numerator(2 ** 40 - 2, total - 4)
+                calls, x = self.columns(monkeypatch, num, 2)
+                assert calls == dtypes and x.dtype == object, total
+                assert max(abs(v) for v in x[2]) >= edge * 2 ** 78
+
     def test_split_multiplicity_one_keeps_its_dtype_rule(self, monkeypatch):
-        # sum |c| qmax = (2^40 + 4)(2^22 + 1) passes 2^62: no shadow at k = 1.
+        # sum |c| qmax = (2^40 + 4)(2^22 + 1) passes 2^62: no lift at k = 1.
         calls, x = self.columns(monkeypatch, self.numerator(2 ** 22, 2 ** 40), 1)
-        assert calls == [(object, False)] and x.dtype == object
+        assert calls == [(object, 0)] and x.dtype == object
         calls, x = self.columns(monkeypatch, self.numerator(2 ** 20, 1), 1)
-        assert calls == [(np.int64, False)] and x.dtype == np.int64
+        assert calls == [(np.int64, 0)] and x.dtype == np.int64
+
+    def test_split_union_of_four(self, monkeypatch):
+        # The iterated cable with three unknots at k = 4: its terms' mass
+        # (2^99 at N = 128) is far past a float shadow's reach, yet its columns
+        # are summed in int64 and give the Python-int path's value exactly.
+        e = parse(f"connsum(cable(0,4;1;unknot),1;{ITERATED},1)")
+        for n in (16, 32, 128):
+            num = colored_numerator(e, (n,) * 4)
+            calls = []
+            sum_columns = asympt._sum_columns
+            with monkeypatch.context() as mp:
+                mp.setattr(asympt, "_sum_columns",
+                           lambda *a: calls.append(a[4]) or sum_columns(*a))
+                value = asympt._value(num, n, 4)
+            assert calls == [np.int64], n
+            if n < 128:
+                with monkeypatch.context() as mp:
+                    mp.setattr(asympt, "_PRIMES", ())
+                    assert value == asympt._value(num, n, 4)
+            else:  # the Python-int path's value, 3 s to recompute
+                assert value == 1667454.9606722656 - 563759.5818823586j
+            expected = eval_normalized_at_root(parse(ITERATED), n)
+            assert value == pytest.approx(expected, rel=1e-12)
 
 
 class TestConnectedSumNumerator:

@@ -14,7 +14,9 @@ J and division by [n] that it replaced, which must give the same numerator
 entry for entry in each regime of the product.
 
 Merging equal exponents has a referee too: a dict of sums, on both of
-_merge's sorts, at the edge where its packed int64 keys stop fitting.
+_merge's sorts, at the edge where its packed int64 keys stop fitting.  A
+cable of a torus knot's lattice keys are decoded per m, and taken to the
+edges of int32 and of int64.
 """
 
 from dataclasses import replace
@@ -200,6 +202,16 @@ def batched_agrees(e, *color_vectors):
         same(_materialize(got), referee(e, colors))
 
 
+def spied(monkeypatch, name, f, *args):
+    """What jones.<name> returned while f(*args) ran."""
+    results = []
+    original = getattr(jones, name)
+    with monkeypatch.context() as mp:
+        mp.setattr(jones, name, lambda *a: results.append(original(*a)) or results[-1])
+        f(*args)
+    return results
+
+
 ITERATED = "cable(2,13;1;cable(2,3;1;unknot))"
 
 
@@ -224,8 +236,9 @@ class TestCableOverATorusKnot:
         batched_agrees("cable(-3,1;1;cable(-2,3;1;unknot))", (2,), (5,), (8,))
 
     def test_each_m_copies_a_prefix_of_the_knot(self):
-        # Before the merge, the 2|j| terms that one m owns are the knot
-        # colored |j|, shifted by rg m (m p + 2) and scaled by sign(j) C[m].
+        # Before the merge, the 2|j| keys that one m owns carry its index and
+        # decode to the knot colored |j|, shifted by rg m (m p + 2) and scaled
+        # by sign(j) C[m].
         for text, block in (("cable(-2,5;1;cable(-3,4;1;unknot))", (4,)),
                             ("cable(-3,1;1;cable(-2,3;1;unknot))", (7,)),
                             ("cable(2,4;1;cable(2,3;1;unknot))", (5, 6))):
@@ -234,22 +247,76 @@ class TestCableOverATorusKnot:
             p, rg = e.s // g, e.r // g
             table = trinomial_table(block)
             w = table.width
-            exps, coeffs, bound = jones._torus_knot_terms(
-                e.child, table, p, rg, abs(rg) * w * (w * p + 2))
-            assert bound == sum(c * abs(m * p + 1) for m, c in table.items())
+            packed = jones._torus_knot_keys(e.child, table, p, rg,
+                                            abs(rg) * w * (w * p + 2))
+            assert packed.bound == sum(c * abs(m * p + 1) for m, c in table.items())
+            assert packed.keys.dtype == np.int32 and packed.keys.min() >= 0
+            payload = packed.keys & ((1 << packed.bits) - 1)
+            exps = (packed.keys >> packed.bits).astype(np.int64) * packed.step + packed.lo
+            coeffs = packed.weights[payload]
             end = 0
-            for m, c in table.items():
+            for i, (m, c) in enumerate(table.items()):
                 j = m * p + 1
                 knot = colored_numerator(e.child, (abs(j),)) if j else _ZERO
                 size = 2 * abs(j)
                 assert len(knot.exps) == size
+                assert (payload[end:end + size] >> 1 == i).all(), (text, m)
                 shift = rg * m * (m * p + 2)
                 got = dict_sums(exps[end:end + size] - shift, coeffs[end:end + size])
                 sign = 1 if j > 0 else -1
                 assert got == [(int(x), sign * c * int(y))
                                for x, y in zip(knot.exps, knot.coeffs) if c], (text, m)
                 end += size
-            assert end == len(exps) == len(coeffs)
+            assert end == len(packed.keys)
+
+    def test_iterated_cable_past_31_bit_keys(self, monkeypatch):
+        # At N = 128 the largest key has 31 bits and at N = 129 it needs 32
+        # (c = 9), so the keys go from int32 to int64; the dense referee is
+        # too wide here, so the check is against the child-by-child numerator.
+        e = parse(ITERATED)
+        for n, dtype in ((128, np.int32), (129, np.int64)):
+            packed = spied(monkeypatch, "_torus_knot_keys", colored_numerator, e, (n,))
+            assert [p.keys.dtype for p in packed] == [dtype]
+            identical(colored_numerator(e, (n,)), colored_numerator(unbatched(e), (n,)))
+
+    # (expression, colors, largest key, key dtype or None for the general
+    # branch); the knots' windings are solved for keys at the edges.
+    KEY_EDGES = (("cable(1,2;1;cable(268435454,1;1;unknot))", (2,), 2 ** 31 - 1, np.int32),
+                 ("cable(1,2;1;cable(268435455,1;1;unknot))", (2,), 2 ** 31 + 7, np.int64),
+                 ("cable(1,2;1;cable(6862628003612184,5;1;unknot))", (5,), 2 ** 63 - 1,
+                  np.int64),
+                 ("cable(1,2;1;cable(38430716820228232,3;1;unknot))", (4,), 2 ** 63 + 7,
+                  None))
+
+    def test_key_width_at_the_edges(self, monkeypatch):
+        tops = []
+        key_dtype = jones._key_dtype
+        monkeypatch.setattr(jones, "_key_dtype", lambda k: tops.append(k) or key_dtype(k))
+        for text, colors, top_key, dtype in self.KEY_EDGES:
+            e = parse(text)
+            tops.clear()
+            packed = spied(monkeypatch, "_torus_knot_keys", colored_numerator, e, colors)
+            assert tops == [top_key], text
+            assert [None if p is None else p.keys.dtype for p in packed] == [dtype], text
+            identical(colored_numerator(e, colors), colored_numerator(unbatched(e), colors))
+
+    def test_benchmark_rows_take_the_packed_path(self, monkeypatch):
+        # The benchmark's iterated rows, mirrored or not and under any of its
+        # framing twists: no argsort and no child expanded on its own.
+        e = parse(ITERATED)
+        calls = []
+        jones_ = jones._jones
+        argsort = np.argsort
+        monkeypatch.setattr(jones, "_jones", lambda e, *a: calls.append(e) or jones_(e, *a))
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append("argsort")
+                            or argsort(*a, **k))
+        for knot in (e, mirror_expr(e)):
+            for twist in range(-3, 4):
+                root = Twist(knot, 1, twist)
+                for n in (16, 32, 48):
+                    calls.clear()
+                    colored_numerator(root, (n,))
+                    assert calls == [root, knot], (twist, n)
 
     def test_inner_windings(self):
         batched_agrees("cable(2,3;1;cable(-2,3;1;unknot))", (2,), (5,))
