@@ -32,7 +32,6 @@ from .bracket import (
     torus_closure_diagram,
 )
 from .jones import (
-    ColorMismatchAtConnSum,
     DeferredRatio,
     colored_jones,
     normalized_jones,

@@ -2,11 +2,14 @@
 
 The normalized invariant J/[N]^k of a link colored all-N is evaluated at
 A0 = exp(i*pi/2N) from the engine's sparse numerator Num = J (A^2 - A^-2),
-with no dense J: J/[N]^k = X / D with X = Num (A^2 - A^-2)^(k-1) and
-D = (A^(2N) - A^(-2N))^k.  Put A = A0 e^s: D = (-4N s)^k (1 + O(s^2)), and
-X = sum_j M_j s^j / j! with M_j = sum c e^j A0^e over X's terms c A^e, the
-moments of theta = A d/dA.  So the limit is finite exactly when M_j = 0 for
-every j < k, and is then M_k / (k! (-4N)^k); otherwise DivergentLimit is
+with no dense J.  As [N] (A^2 - A^-2) = A^(2N) - A^(-2N),
+J/[N]^k = (Num / D) (A^2 - A^-2)^(k-1) with D = (A^(2N) - A^(-2N))^k.  At
+N = 1, [1] = 1, so every k has the k = 1 value.  For N >= 2 the last factor
+is a unit at A0, (2i sin(pi/N))^(k-1), so only Num / D needs a limit.  Put
+A = A0 e^s: D = (-4N s)^k (1 + O(s^2)), and Num = sum_j M_j s^j / j! with
+M_j = sum c e^j A0^e over Num's terms c A^e, the moments of theta = A d/dA.
+So the limit is finite exactly when M_j = 0 for every j < k, and is then
+(2i sin(pi/N))^(k-1) M_k / (k! (-4N)^k); otherwise DivergentLimit is
 raised.  With e = M q + r, M = 4N, M_j = sum_r A0^r sum_{i<=j} C(j,i) M^i
 r^(j-i) X_i[r] over integer columns X_i[r] = sum c q^i, so each zero test is
 exact; when X_0 .. X_(z-1) are identically 0, M_j carries the factor M^z.
@@ -118,7 +121,22 @@ def vanishing_order(p: LaurentPoly, pt: RootOfUnityPoint,
 
 def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
                             memo: dict | None = None) -> complex:
-    """Value of J(e) / [n]^split_mult at A0(n), all components colored n."""
+    """Value of J(e) / [n]^split_mult at A0(n), all components colored n.
+
+    split_mult is the number of split components divided away.  The trefoil
+    beside a split unknot has J = J(trefoil) [n], so at split_mult 2 it has
+    the trefoil's value, and at split_mult 1 it is 0, as [n](A0) = 0:
+
+    >>> from cablejones import parse
+    >>> union = parse("connsum(cable(0,2;1;unknot),1;cable(2,3;1;unknot),1)")
+    >>> v = eval_normalized_at_root(union, 3, split_mult=2)
+    >>> complex(round(v.real, 9), round(v.imag, 9))
+    (-2+5.196152423j)
+    >>> abs(v - eval_normalized_at_root(parse("cable(2,3;1;unknot)"), 3)) < 1e-12 * abs(v)
+    True
+    >>> eval_normalized_at_root(union, 3)
+    0j
+    """
     return _value(colored_numerator(e, (n,) * component_count(e), memo), n, split_mult)
 
 
@@ -126,7 +144,7 @@ def _value(num, n: int, split_mult: int) -> complex:
     """J / [n]^split_mult at A0(n) from J's numerator, by the module docstring's moments."""
     if split_mult < 1:
         raise ValueError("split_mult must be >= 1")
-    k, m = split_mult, 4 * n
+    k, m = (split_mult if n > 1 else 1), 4 * n  # [1] = 1
     x = _moment_columns(num, m, k)
     z = next((i for i in range(k) if x[i].any()), k)
     for j in range(z, k + 1):
@@ -134,12 +152,13 @@ def _value(num, n: int, split_mult: int) -> complex:
         u = x[z] if j == z else sum(
             math.comb(j, i) * m ** (i - z) * np.arange(m, dtype=object) ** (j - i) * x[i]
             for i in range(z, j + 1))
-        # Each term of X lands in one column, so sum |x[z]| keeps the bound
+        # Each term of num lands in one column, so sum |x[z]| keeps the bound
         # that chose its dtype, as _exact_value requires.
         value = _exact_value(u, n)
         if j < k and value:
             raise DivergentLimit(f"at N={n} J/[N]^{k} has no finite limit: "
                                  f"its theta-moment {j} does not vanish")
+    value *= (2j * math.sin(math.pi / n)) ** (k - 1)  # (A0^2 - A0^-2)^(k-1)
     return value * (-1) ** k / (math.factorial(k) * m ** (k - z)) + 0j  # + 0j: no -0
 
 
@@ -151,33 +170,28 @@ _PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)
 
 
 def _moment_columns(num, m: int, k: int) -> np.ndarray:
-    """X_i[r] = sum c q^i for i <= k, over the terms c A^(m q + r) of
-    X = num (A^2 - A^-2)^(k - 1): k copies of num, each shifted by
-    A^(2(k - 1) - 4t) and signed (-1)^t C(k - 1, t), added in turn.
+    """X_i[r] = sum c q^i for i <= k, over num's terms c A^(m q + r).
 
     The columns are int64 when a bound on the terms keeps every sum, and
     sum_r |X_i[r]| as _exact_value needs, below 2^62; otherwise they hold
-    Python ints.  Past that bound, for k > 1, they are summed in wrapping
-    int64 and also modulo the first one or two primes of _PRIMES, each term
-    reduced as (c mod p)(q mod p) mod p.  A wrapped sum is the true one mod
-    2^64, so with the residues it is fixed mod 2^64 P, P the product of the
-    primes (CRT), and that is the true sum whenever every |sum| lies below
-    2^63 P.  mass = 2^(k-1) sum |c| qmax^k bounds every copy's sum
-    |c| |q|^i, so one prime serves while mass < 2^63 p1 and two while
-    mass < 2^63 p1 p2 (2^125).  The lifted columns are handed on as Python
-    ints, as the Python-int sums would be, so that the value does not change
-    in its last digit.  A larger mass takes the Python-int sums.
+    Python ints.  Past that bound they are summed in wrapping int64 and
+    also modulo the first one or two primes of _PRIMES, each term reduced
+    as (c mod p)(q mod p) mod p.  A wrapped sum is the true one mod 2^64, so
+    with the residues it is fixed mod 2^64 P, P the product of the primes
+    (CRT), and that is the true sum whenever every |sum| lies below 2^63 P.
+    mass = sum |c| qmax^k bounds every sum |c| |q|^i, so one prime serves
+    while mass < 2^63 p1 and two while mass < 2^63 p1 p2 (2^125).  The
+    lifted columns are handed on as Python ints, as the Python-int sums
+    would be, so that the value does not change in its last digit.  A
+    larger mass takes the Python-int sums.
     """
     exps, coeffs, bound = num
-    # A copy's |q| <= (top + 2k - 2) // m + 1 <= qmax as m >= 4, and the
-    # copies' coefficients add up to at most 2^(k-1) sum |c|, so every column
-    # sum is within 2^(k-1) sum |c| qmax^k <= 2^(k-1) len bound qmax^k.
-    qmax = _top(num) // m + k
-    dtype = _dtype(2 ** (k - 1) * len(exps) * bound * qmax ** k)
+    qmax = _top(num) // m + 1  # every |q| <= |e| // m + 1
+    dtype = _dtype(len(exps) * bound * qmax ** k)
     if dtype is object:
-        mass = 2 ** (k - 1) * _abs_sum(num) * qmax ** k
+        mass = _abs_sum(num) * qmax ** k
         dtype = _dtype(mass)
-    if dtype is object and k > 1 and exps.dtype != object and coeffs.dtype != object:
+    if dtype is object and exps.dtype != object and coeffs.dtype != object:
         for count in range(1, len(_PRIMES) + 1):
             primes = _PRIMES[:count]
             if mass < 2 ** 63 * math.prod(primes):
@@ -213,30 +227,22 @@ def _sum_columns(exps, coeffs, m: int, k: int, dtype, primes=()):
     for start in range(0, len(exps), _CHUNK):
         part = slice(start, start + _CHUNK)
         c = coeffs[part].astype(dtype, copy=False)
-        # x - x // p * p is x mod p, and faster than np.remainder.
-        c_mod = [c - c // p * p for p in primes]
-        for t in range(k):  # no pass for d = 0 or sign = 1
-            d, sign = 2 * (k - 1) - 4 * t, (-1) ** t * math.comb(k - 1, t)
-            e = exps[part] + d if d else exps[part]
-            q = e // m
-            r = (e - q * m).astype(np.int64, copy=False)
-            for j, p in enumerate(primes):
-                w, q_mod = c_mod[j], q - q // p * p
-                sums = np.zeros((k + 1, m), dtype=np.int64)  # within _CHUNK p < 2^49
-                for i in range(k + 1):
-                    if i:
-                        w = w * q_mod
-                        w -= w // p * p
-                    np.add.at(sums[i], r, w)
-                res[j] = (res[j] + sums % p * (sign % p)) % p
-            if dtype is not object:  # the same sign mod 2^64
-                sign = (sign + 2 ** 63) % 2 ** 64 - 2 ** 63
-            w = c * sign if sign != 1 else c
-            q = q.astype(dtype, copy=False)
+        q = exps[part] // m
+        r = (exps[part] - q * m).astype(np.int64, copy=False)
+        for j, p in enumerate(primes):
+            # x - x // p * p is x mod p, and faster than np.remainder.
+            w, q_mod = c - c // p * p, q - q // p * p
             for i in range(k + 1):
                 if i:
-                    w = w * q
-                np.add.at(x[i], r, w)
+                    w = w * q_mod
+                    w -= w // p * p
+                np.add.at(res[j, i], r, w)  # below p + _CHUNK p < 2^50
+            res[j] %= p
+        w, q = c, q.astype(dtype, copy=False)
+        for i in range(k + 1):
+            if i:
+                w = w * q
+            np.add.at(x[i], r, w)
     return x, res
 
 

@@ -84,7 +84,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .laurent import (
-    ComputationError,
     LaurentPoly,
     NotDivisible,
     _add_product,
@@ -108,7 +107,6 @@ from .linkexpr import (
 from .trinomial import trinomial_table
 
 __all__ = [
-    "ColorMismatchAtConnSum",
     "DeferredRatio",
     "MEMO_SPAN_LIMIT",
     "colored_jones",
@@ -116,14 +114,6 @@ __all__ = [
 ]
 
 MEMO_SPAN_LIMIT = 1 << 20
-
-
-class ColorMismatchAtConnSum(ComputationError, ValueError):
-    """The two sides of a connected sum disagree about the joined color.
-
-    Public for compatibility only: a connected sum reads one color for the
-    joined component and gives it to both sides, so they cannot disagree.
-    """
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cablejones import asympt, bracket, jones
+from cablejones import asympt, bracket
 from cablejones.cli import main
 from cablejones.laurent import ComputationError, LaurentPoly, NotDivisible
 
@@ -53,6 +53,12 @@ class TestEvalCommand:
                            "--color-all", "17")
         assert code == 0
         assert out.strip() == "1+0i"
+
+    def test_split_multiplicity_at_color_one(self, capsys):
+        # [1] = 1, so any split multiplicity prints the --split-mult 1 value.
+        outs = [run(capsys, "eval", "--expr", "cable(0,3;1;unknot)", "--color-all", "1",
+                    "--split-mult", k) for k in ("1", "3")]
+        assert outs[0] == outs[1] == (0, "1+0i\n", "")
 
 
 class TestGrowthCommand:
@@ -166,7 +172,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error, base", [
         (NotDivisible, ArithmeticError),
-        (jones.ColorMismatchAtConnSum, ValueError),
         (asympt.DivergentLimit, ArithmeticError),
         (asympt.DepthExceeded, ArithmeticError),
         (asympt.InsufficientData, ValueError),

@@ -3,7 +3,7 @@
 growth_table reads a row from the engine's numerator N = J (A^2 - A^-2)
 alone: degrees from N's ends, the largest |coefficient| from N's running
 sums, and J/[N]^k at A0, for every split multiplicity k, from the theta-
-moments of N (A^2 - A^-2)^(k-1) over integer columns mod 4N.  The referee
+moments of N over integer columns mod 4N.  The referee
 builds the dense J with colored_jones, divides it by [N] while [N] divides
 and evaluates the quotient, or takes the l'Hospital limit of what is left,
 which is how every value was computed before.  Degrees and coefficients
@@ -110,12 +110,19 @@ class TestAgainstTheDenseReferee:
         agree(parse("cable(2,4;1;unknot)"), NS + (32,))
 
     def test_split_multiplicity_two(self):
-        agree(parse("cable(0,2;1;unknot)"), (2, 3, 5, 8), split_mult=2)
-        agree(parse("cable(0,3;1;unknot)"), (2, 3, 4), split_mult=2)
-        agree(parse("connsum(cable(0,2;1;unknot),1;cable(2,3;1;unknot),1)"), (2, 3, 5),
+        agree(parse("cable(0,2;1;unknot)"), (1, 2, 3, 5, 8), split_mult=2)
+        agree(parse("cable(0,3;1;unknot)"), (1, 2, 3, 4), split_mult=2)
+        agree(parse("connsum(cable(0,2;1;unknot),1;cable(2,3;1;unknot),1)"), (1, 2, 3, 5),
               split_mult=2)
         with pytest.raises(DivergentLimit):
             growth_table(parse("cable(2,4;1;unknot)"), [3], split_mult=2)
+        # At N = 1, [1] = 1 while A0^2 - A0^-2 = 0: every k has the k = 1 value.
+        for text in ("cable(0,2;1;unknot)", "cable(0,3;1;unknot)", "cable(2,4;1;unknot)",
+                     T23_T25, ITERATED):
+            e = parse(text)
+            num = colored_numerator(e, (1,) * component_count(e))
+            for k in range(1, 5):
+                assert asympt._value(num, 1, k) == asympt._value(num, 1, 1), (text, k)
 
     def test_eval_matches_the_dense_referee(self):
         for text in (ITERATED, T23_T25, "cable(2,4;1;unknot)"):
@@ -380,12 +387,12 @@ class TestGuards:
 
 
 class TestMomentColumns:
-    """Past their static bound, the columns at k > 1 are summed in wrapping
-    int64 and modulo two primes, and lifted by CRT; they must equal the
-    Python-int sums."""
+    """Past their static bound, the columns are summed in wrapping int64 and
+    modulo one or two primes, and lifted by CRT; they must equal the sums
+    c q^i taken one term at a time in Python ints."""
 
     @staticmethod
-    def columns(monkeypatch, num, k):
+    def columns(monkeypatch, num, k, m=16):
         calls = []
         sum_columns = asympt._sum_columns
 
@@ -393,21 +400,28 @@ class TestMomentColumns:
             calls.append((dtype, len(primes)))
             return sum_columns(exps, coeffs, m, k, dtype, primes)
         monkeypatch.setattr(asympt, "_sum_columns", spy)
-        x = asympt._moment_columns(num, 16, k)
-        expected = sum_columns(num.exps, num.coeffs, 16, k, object)[0]
-        assert x.tolist() == expected.tolist()
+        x = asympt._moment_columns(num, m, k)
+        sums = {}
+        for e, c in zip(num.exps.tolist(), num.coeffs.tolist()):
+            q, r = divmod(e, m)
+            for i in range(k + 1):
+                sums[i, r] = sums.get((i, r), 0) + c * q ** i
+        assert x.tolist() == [[sums.get((i, r), 0) for r in range(m)]
+                              for i in range(k + 1)]
         return calls, x
 
     @staticmethod
-    def numerator(top, coeff=0):
-        # -+1 at q = top - 1 and +-1 at q = top in two columns mod 16, so each
+    def numerator(top, coeff=0, m=16, mirrored=False):
+        # -+1 at q = top - 1 and +-1 at q = top in two columns mod m, so each
         # sum of c q^i is below i top^(i-1) while top^k passes 2^62; and coeff
-        # at q = top in a third column.
-        exps = [16 * (top - 1) + 1, 16 * (top - 1) + 5, 16 * top + 1, 16 * top + 5]
+        # at q = top in a third column.  Mirrored, every exponent is negated.
+        exps = [m * (top - 1) + 1, m * (top - 1) + 5, m * top + 1, m * top + 5]
         coeffs = [-1, 1, 1, -1]
         if coeff:
-            exps.append(16 * top + 9)
+            exps.append(m * top + 9)
             coeffs.append(coeff)
+        if mirrored:
+            exps, coeffs = [-e for e in reversed(exps)], coeffs[::-1]
         return _Numerator(np.array(exps), np.array(coeffs), max(1, abs(coeff)))
 
     def test_cancelling_columns_stay_int64(self, monkeypatch):
@@ -423,30 +437,63 @@ class TestMomentColumns:
         assert calls == [(np.int64, 1)]
         assert max(abs(v) for v in x[3]) >= 2 ** 64
 
+    def test_columns_in_every_regime(self, monkeypatch):
+        # mass = (4 + coeff) qmax^k near 2^bits, with qmax = 2^b: int64 sums,
+        # one prime, two primes, and Python ints (at k = 1 only a coefficient
+        # past int64 gets there, and it makes the coefficients Python ints).
+        # Every exponent, m 2^56 + 9 at most, stays in int64.
+        regimes = ((50, [(np.int64, 0)]), (80, [(np.int64, 1)]),
+                   (110, [(np.int64, 2)]), (130, [(object, 0)]))
+        for m in (12, 16, 20):  # 4N = 12 and 20 have an odd prime factor
+            for k in range(1, 5):
+                for bits, dtypes in regimes:
+                    b = min(56, bits // k)
+                    for mirrored in (False, True):
+                        num = self.numerator(2 ** b - 1, 2 ** (bits - k * b), m, mirrored)
+                        calls, x = self.columns(monkeypatch, num, k, m)
+                        assert calls == dtypes, (m, k, bits, mirrored)
+                        assert x.dtype == (np.int64 if bits < 62 else object)
+
     def test_mass_past_the_lift_range_sums_python_ints(self, monkeypatch):
-        # At k = 2, qmax = top + 2 = 2^40, so mass = (4 + coeff) 2^81; the
+        # At k = 2, qmax = top + 1 = 2^40, so mass = (4 + coeff) 2^80; the
         # column coeff top^2 nears the edge of each prime count's range.
         p1, p2 = asympt._PRIMES
-        for edge, primes in ((p1 // 2 ** 18, 1), (p1 * p2 // 2 ** 18, 2)):
+        for edge, primes in ((p1 // 2 ** 17, 1), (p1 * p2 // 2 ** 17, 2)):
             # edge: the largest 4 + coeff with mass below that range
             for total, dtypes in ((edge, [(np.int64, primes)]),
                                   (edge + 1, [(np.int64, 2)] if primes == 1 else
                                    [(object, 0)])):
-                num = self.numerator(2 ** 40 - 2, total - 4)
+                num = self.numerator(2 ** 40 - 1, total - 4)
                 calls, x = self.columns(monkeypatch, num, 2)
                 assert calls == dtypes and x.dtype == object, total
-                assert max(abs(v) for v in x[2]) >= edge * 2 ** 78
+                assert max(abs(v) for v in x[2]) >= edge * 2 ** 79
 
-    def test_split_multiplicity_one_keeps_its_dtype_rule(self, monkeypatch):
-        # sum |c| qmax = (2^40 + 4)(2^22 + 1) passes 2^62: no lift at k = 1.
-        calls, x = self.columns(monkeypatch, self.numerator(2 ** 22, 2 ** 40), 1)
-        assert calls == [(object, 0)] and x.dtype == object
+    def test_split_multiplicity_one_is_lifted(self, monkeypatch):
+        # sum |c| qmax = (2^40 + 4)(2^22 + 1) passes 2^62: k = 1 is lifted
+        # like every k, to the same Python ints as the Python-int sums.
+        num = self.numerator(2 ** 22, 2 ** 40)
+        calls, x = self.columns(monkeypatch, num, 1)
+        assert calls == [(np.int64, 1)] and x.dtype == object
+        with monkeypatch.context() as mp:
+            mp.setattr(asympt, "_PRIMES", ())
+            calls, x = self.columns(mp, num, 1)
+            assert calls == [(object, 0)] and x.dtype == object
         calls, x = self.columns(monkeypatch, self.numerator(2 ** 20, 1), 1)
         assert calls == [(np.int64, 0)] and x.dtype == np.int64
 
     def test_split_union_of_four(self, monkeypatch):
+        # J(K + s - 1 unknots) = J(K) [N]^(s-1), so at split multiplicity s
+        # the union has K's value at split multiplicity 1.
+        for knot in ("cable(2,3;1;unknot)", "cable(-2,5;1;unknot)",
+                     f"twist(-2;1;{ITERATED})"):
+            for s in (2, 3, 4):
+                union = parse(f"connsum(cable(0,{s};1;unknot),1;{knot},1)")
+                for n in NS:
+                    expected = eval_normalized_at_root(parse(knot), n)
+                    assert eval_normalized_at_root(union, n, s) == \
+                        pytest.approx(expected, rel=1e-12, abs=0), (knot, s, n)
         # The iterated cable with three unknots at k = 4: its terms' mass
-        # (2^99 at N = 128) is far past a float shadow's reach, yet its columns
+        # (2^96 at N = 128) is far past a float shadow's reach, yet its columns
         # are summed in int64 and give the Python-int path's value exactly.
         e = parse(f"connsum(cable(0,4;1;unknot),1;{ITERATED},1)")
         for n in (16, 32, 128):
@@ -462,8 +509,8 @@ class TestMomentColumns:
                 with monkeypatch.context() as mp:
                     mp.setattr(asympt, "_PRIMES", ())
                     assert value == asympt._value(num, n, 4)
-            else:  # the Python-int path's value, 3 s to recompute
-                assert value == 1667454.9606722656 - 563759.5818823586j
+            else:  # the Python-int path's value, 1 s to recompute
+                assert value == 1667454.9606722656 - 563759.5818823582j
             expected = eval_normalized_at_root(parse(ITERATED), n)
             assert value == pytest.approx(expected, rel=1e-12)
 
