@@ -16,6 +16,18 @@ exact; when X_0 .. X_(z-1) are identically 0, M_j carries the factor M^z.
 At k = 1 with [N] dividing J, X_0 = 0 and the value is -sum_r X_1[r] A0^r.
 J's degrees and largest coefficient are read off Num's ends and running sums.
 
+The first moment that does not vanish is J's order of vanishing v at A0,
+so one pass gives j = min(v, k) and the limit of J/[N]^j.  Twists and
+connected sums at the root are taken apart, and only the nodes below them
+are read from their numerators.  A twist by f multiplies J by
+A^(f (N^2 - 1)), the unit A0^(f (N^2 - 1) mod 4N) at A0.  A connected sum
+has J = J_1 J_2 / [N], so J/[N]^k = (J_1/[N]^k1) (J_2/[N]^k2) for
+k1 + k2 = k + 1.  The left factor's pass at k gives k1 = min(v_1, k), the
+right factor's at k2 = k + 1 - k1 gives min(v_2, k2), and J/[N]^k has a
+limit when that is k2.  Every factor vanishes at A0 for N >= 2, so at
+k = 1 both take k = 1; at N = 1 it is the plain product.  A product is 0j
+exactly when a factor's exact value is 0.
+
 Each sum of integer columns is evaluated by laurent._exact_value, and every
 l'Hospital and vanishing-order test by LaurentPoly.eval_at_root, which
 takes a value near 0 from the same routine.  So every zero decision at A0
@@ -41,11 +53,12 @@ from .laurent import (
     ComputationError,
     LaurentPoly,
     RootOfUnityPoint,
+    _doubled_powers,
     _dtype,
     _exact_value,
     _max_abs,
 )
-from .linkexpr import LinkExpr, component_count
+from .linkexpr import ConnSum, LinkExpr, Twist, component_count
 
 __all__ = [
     "DepthExceeded",
@@ -137,17 +150,48 @@ def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
     >>> eval_normalized_at_root(union, 3)
     0j
     """
-    return _value(colored_numerator(e, (n,) * component_count(e), memo), n, split_mult)
+    return _root_value(e, n, split_mult, {} if memo is None else memo)
 
 
-def _value(num, n: int, split_mult: int) -> complex:
-    """J / [n]^split_mult at A0(n) from J's numerator, by the module docstring's moments."""
-    if split_mult < 1:
+def _root_value(e: LinkExpr, n: int, k: int, memo: dict) -> complex:
+    """J(e) / [n]^k at A0(n), by the module docstring's rule for the root."""
+    return _finite(*_root_limit(e, n, k, memo), n, k)
+
+
+def _value(num, n: int, k: int) -> complex:
+    """J / [n]^k at A0(n) from J's numerator, by the module docstring's moments."""
+    return _finite(*_limit(num, n, k), n, k)
+
+
+def _finite(j: int, value: complex, n: int, k: int) -> complex:
+    if j < k:
+        raise DivergentLimit(f"at N={n} J/[N]^{k} has no finite limit: "
+                             f"its theta-moment {j} does not vanish")
+    return value
+
+
+def _root_limit(e: LinkExpr, n: int, k: int, memo: dict) -> tuple[int, complex]:
+    """_limit for J(e): twists and connected sums at the root are taken
+    apart, and any other node is read from its numerator (memoized)."""
+    if isinstance(e, Twist):
+        j, value = _root_limit(e.child, n, k, memo)
+        return j, value * complex(_doubled_powers(n)[e.f * (n * n - 1) % (4 * n)]) + 0j
+    if isinstance(e, ConnSum):
+        j, left = _root_limit(e.left, n, k, memo)
+        i, right = _root_limit(e.right, n, k + 1 - j, memo)
+        return j + i - 1, left * right + 0j
+    return _limit(colored_numerator(e, (n,) * component_count(e), memo), n, k)
+
+
+def _limit(num, n: int, k: int) -> tuple[int, complex]:
+    """(j, lim J/[n]^j at A0(n)) for j = min(k, J's order of vanishing there),
+    from J's numerator; at n = 1, [1] = 1 and j = k."""
+    if k < 1:
         raise ValueError("split_mult must be >= 1")
-    k, m = (split_mult if n > 1 else 1), 4 * n  # [1] = 1
-    x = _moment_columns(num, m, k)
-    z = next((i for i in range(k) if x[i].any()), k)
-    for j in range(z, k + 1):
+    top, m = (k if n > 1 else 1), 4 * n
+    x = _moment_columns(num, m, top)
+    z = next((i for i in range(top) if x[i].any()), top)
+    for j in range(z, top + 1):
         # M_j = m^z sum_r U[r] A0^r, U = sum_{z <= i <= j} C(j, i) m^(i - z) r^(j - i) X_i
         u = x[z] if j == z else sum(
             math.comb(j, i) * m ** (i - z) * np.arange(m, dtype=object) ** (j - i) * x[i]
@@ -155,95 +199,44 @@ def _value(num, n: int, split_mult: int) -> complex:
         # Each term of num lands in one column, so sum |x[z]| keeps the bound
         # that chose its dtype, as _exact_value requires.
         value = _exact_value(u, n)
-        if j < k and value:
-            raise DivergentLimit(f"at N={n} J/[N]^{k} has no finite limit: "
-                                 f"its theta-moment {j} does not vanish")
-    value *= (2j * math.sin(math.pi / n)) ** (k - 1)  # (A0^2 - A0^-2)^(k-1)
-    return value * (-1) ** k / (math.factorial(k) * m ** (k - z)) + 0j  # + 0j: no -0
+        if value:
+            break
+    value *= (2j * math.sin(math.pi / n)) ** (j - 1)  # (A0^2 - A0^-2)^(j-1)
+    value = value * (-1) ** j / (math.factorial(j) * m ** (j - z)) + 0j  # + 0j: no -0
+    return (k if n == 1 and j else j), value
 
 
 _CHUNK = 1 << 18  # terms per pass of _moment_columns: temporaries of a few MB
-
-# Primes below 2^31: a product of residues stays below 2^62, and a chunk's
-# sum of residues below _CHUNK 2^31 = 2^49.
-_PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)
 
 
 def _moment_columns(num, m: int, k: int) -> np.ndarray:
     """X_i[r] = sum c q^i for i <= k, over num's terms c A^(m q + r).
 
-    The columns are int64 when a bound on the terms keeps every sum, and
-    sum_r |X_i[r]| as _exact_value needs, below 2^62; otherwise they hold
-    Python ints.  Past that bound they are summed in wrapping int64 and
-    also modulo the first one or two primes of _PRIMES, each term reduced
-    as (c mod p)(q mod p) mod p.  A wrapped sum is the true one mod 2^64, so
-    with the residues it is fixed mod 2^64 P, P the product of the primes
-    (CRT), and that is the true sum whenever every |sum| lies below 2^63 P.
-    mass = sum |c| qmax^k bounds every sum |c| |q|^i, so one prime serves
-    while mass < 2^63 p1 and two while mass < 2^63 p1 p2 (2^125).  The
-    lifted columns are handed on as Python ints, as the Python-int sums
-    would be, so that the value does not change in its last digit.  A
-    larger mass takes the Python-int sums.
+    The columns are int64 when len(num) B qmax^k for num's bound B, or
+    the mass sum |c| qmax^k, keeps every sum, and sum_r |X_i[r]| as
+    _exact_value needs, below 2^62; otherwise they hold Python ints.
     """
     exps, coeffs, bound = num
     qmax = _top(num) // m + 1  # every |q| <= |e| // m + 1
     dtype = _dtype(len(exps) * bound * qmax ** k)
     if dtype is object:
-        mass = _abs_sum(num) * qmax ** k
-        dtype = _dtype(mass)
-    if dtype is object and exps.dtype != object and coeffs.dtype != object:
-        for count in range(1, len(_PRIMES) + 1):
-            primes = _PRIMES[:count]
-            if mass < 2 ** 63 * math.prod(primes):
-                return _lift(*_sum_columns(exps, coeffs, m, k, np.int64, primes), primes)
-    return _sum_columns(exps, coeffs, m, k, dtype)[0]
+        dtype = _dtype(_abs_sum(num) * qmax ** k)
+    return _sum_columns(exps, coeffs, m, k, dtype)
 
 
-def _lift(x: np.ndarray, residues: np.ndarray, primes) -> np.ndarray:
-    """The Python ints X with X = x mod 2^64 and X = residues[j] mod
-    primes[j], taken in [-2^63 P, 2^63 P) for P the product of the primes.
-
-    X = x + 2^64 t, where the residues fix t mod P one prime at a time
-    (Garner), and t is taken in [-(P - 1)/2, (P - 1)/2]; as x lies in
-    [-2^63, 2^63), that puts X in the range.  With P < 2^62 every int64
-    step stays below 2^62 + 2^31.
-    """
-    t, modulus = np.zeros_like(x), 1
-    for p, r in zip(primes, residues):
-        # The digit d with x + 2^64 (t + modulus d) = r mod p.
-        d = (r - x % p - t % p * (2 ** 64 % p)) % p
-        t += modulus * (d * pow(2 ** 64 * modulus, -1, p) % p)
-        modulus *= p
-    t[t > modulus // 2] -= modulus
-    return x.astype(object) + t.astype(object) * 2 ** 64
-
-
-def _sum_columns(exps, coeffs, m: int, k: int, dtype, primes=()):
-    """_moment_columns' columns X summed in `dtype` (wrapping in int64), and
-    the same sums modulo each of `primes`, one (k + 1, m) block per prime
-    (None without primes)."""
+def _sum_columns(exps, coeffs, m: int, k: int, dtype) -> np.ndarray:
+    """_moment_columns' columns X summed in `dtype`."""
     x = np.zeros((k + 1, m), dtype=dtype)
-    res = np.zeros((len(primes), k + 1, m), dtype=np.int64) if primes else None
     for start in range(0, len(exps), _CHUNK):
         part = slice(start, start + _CHUNK)
-        c = coeffs[part].astype(dtype, copy=False)
         q = exps[part] // m
         r = (exps[part] - q * m).astype(np.int64, copy=False)
-        for j, p in enumerate(primes):
-            # x - x // p * p is x mod p, and faster than np.remainder.
-            w, q_mod = c - c // p * p, q - q // p * p
-            for i in range(k + 1):
-                if i:
-                    w = w * q_mod
-                    w -= w // p * p
-                np.add.at(res[j, i], r, w)  # below p + _CHUNK p < 2^50
-            res[j] %= p
-        w, q = c, q.astype(dtype, copy=False)
+        w, q = coeffs[part].astype(dtype, copy=False), q.astype(dtype, copy=False)
         for i in range(k + 1):
             if i:
                 w = w * q
             np.add.at(x[i], r, w)
-    return x, res
+    return x
 
 
 @dataclass(frozen=True)
@@ -264,15 +257,20 @@ class GrowthRecord:
 
 
 def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
-    num = colored_numerator(e, (n,) * component_count(e))
+    colors = (n,) * component_count(e)
+    body, shift = e, 0  # a twist shifts J and keeps its coefficients
+    while isinstance(body, Twist):
+        body, shift = body.child, shift + body.f * (n * n - 1)
+    memo = {}  # holds num even past the memo's size limit, for the value step
+    num = memo[body, colors] = colored_numerator(body, colors, memo)
     if not len(num.exps):
         raise VanishingInvariant(f"invariant vanishes identically at N={n}")
     # J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the
     # running sums of the numerator, and the last running sum is 0.
     sums = _coefficient_sums(num.coeffs, num.bound)
-    abs_eval = abs(_value(num, n, split_mult))
+    abs_eval = abs(_root_value(e, n, split_mult, memo))
     vc = (2 * math.pi / n) * math.log(abs_eval) if abs_eval > 0 else None
-    return GrowthRecord(n, int(num.exps[-1]) - 2, int(num.exps[0]) + 2,
+    return GrowthRecord(n, int(num.exps[-1]) + shift - 2, int(num.exps[0]) + shift + 2,
                         _max_abs(sums[:-1]), abs_eval, vc)
 
 

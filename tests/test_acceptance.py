@@ -131,34 +131,33 @@ def test_criterion_5_unlink_vanishing_order():
 
 
 _DECAY_FAMILIES = {
-    "T(2,3)": ("cable(2,3;1;unknot)", [8, 16, 32, 64, 128, 256, 512], True),
-    "T(2,4)": ("cable(2,4;1;unknot)", [8, 16, 32, 64, 128, 256, 512], True),
-    "iterated": ("cable(2,13;1;cable(2,3;1;unknot))", [8, 16, 32, 64, 128], False),
+    "T(2,3)": ("cable(2,3;1;unknot)", [8, 16, 32, 64, 128, 256, 512]),
+    "T(2,4)": ("cable(2,4;1;unknot)", [8, 16, 32, 64, 128, 256, 512]),
+    "iterated": ("cable(2,13;1;cable(2,3;1;unknot))", [8, 16, 32, 64, 128, 256, 512]),
 }
 _decay_tables: dict = {}
 
 
 def _family_tables():
     if not _decay_tables:
-        for name, (text, ns, _) in _DECAY_FAMILIES.items():
+        for name, (text, ns) in _DECAY_FAMILIES.items():
             _decay_tables[name] = growth_table(parse(text), ns, 1)
     return _decay_tables
 
 
 def test_criterion_6_volume_conjecture_decay():
-    # The 0.3 ceiling is calibrated at N = 512 and therefore applies to the
-    # torus families swept that far; the iterated cable stops at N = 128
-    # for runtime and is held to the strictly-decreasing requirement.
+    # The 0.3 ceiling is calibrated at N = 512, and every family is swept
+    # that far: vc of the iterated cable falls 0.706, 0.380, 0.210 from
+    # N = 128 to 512.
     start = time.perf_counter()
     tables = _family_tables()
     details = []
     ok = True
-    for name, (_, _, ceiling) in _DECAY_FAMILIES.items():
-        records = tables[name]
+    for name, records in tables.items():
         tail = [r.vc_value for r in records if r.N >= 32]
         decreasing = all(b < a for a, b in zip(tail, tail[1:]))
         final = records[-1].vc_value
-        ok = ok and decreasing and (final < 0.3 if ceiling else True)
+        ok = ok and decreasing and final < 0.3
         details.append(f"{name}: vc({records[-1].N})={final:.3f}"
                        f"{' decreasing' if decreasing else ' NOT decreasing'}")
     elapsed = time.perf_counter() - start

@@ -177,11 +177,14 @@ class TestMomentsAgainstTheLimit:
                         pytest.approx(expected, rel=1e-12), (knot, k, n)
 
     def test_connected_sum_is_multiplicative(self):
+        # Against the whole numerator's value: eval itself multiplies the
+        # factors' values.
+        e = parse(T23_T25)
         for n in (7, 64, 512):
             left = eval_normalized_at_root(parse("cable(2,3;1;unknot)"), n)
             right = eval_normalized_at_root(parse("cable(2,5;1;unknot)"), n)
-            assert eval_normalized_at_root(parse(T23_T25), n) == \
-                pytest.approx(left * right, rel=1e-12)
+            whole = asympt._value(colored_numerator(e, (n,)), n, 1)
+            assert whole == pytest.approx(left * right, rel=1e-12)
 
     def test_value_path_builds_no_dense_j(self, monkeypatch):
         def dense(*args, **kwargs):
@@ -199,6 +202,52 @@ class TestMomentsAgainstTheLimit:
         for text, n, k in cases:
             e = parse(text)
             assert abs(eval_normalized_at_root(e, n, k)) == growth_table(e, [n], k)[0].abs_eval
+
+
+# Connected sums of knots, split unlinks and a nested connected sum, each
+# also under a twist; twist(-2;1;ITERATED) puts a twist below the root.
+T23, T25M, TWISTED = "cable(2,3;1;unknot)", "cable(-2,5;1;unknot)", f"twist(-2;1;{ITERATED})"
+CONNSUMS = tuple(f"connsum({a},1;{b},1)" for a, b in (
+    (T23, T25M), (TWISTED, T23), (T25M, TWISTED),
+    ("cable(0,2;1;unknot)", T23), ("cable(0,3;1;unknot)", T25M),
+    ("cable(0,4;1;unknot)", TWISTED), (T23, "cable(0,3;1;unknot)"),
+    (f"connsum(cable(0,2;1;unknot),1;{T25M},1)", "cable(0,3;1;unknot)")))
+ROOTS = CONNSUMS + tuple(f"twist(3;1;{text})" for text in CONNSUMS)
+
+
+class TestRootRule:
+    """eval multiplies a twist's child value by a unit and a connected sum's
+    factors' values; the referee is the value from the whole numerator."""
+
+    def test_against_the_whole_numerator(self):
+        for text in ROOTS:
+            for e in (parse(text), mirror_expr(parse(text))):
+                for n in NS:
+                    num = colored_numerator(e, (n,) * component_count(e))
+                    for k in range(1, 5):
+                        expected = outcome(lambda: asympt._value(num, n, k))
+                        value = outcome(lambda: eval_normalized_at_root(e, n, k))
+                        if isinstance(expected, type):
+                            assert value is expected, (str(e), n, k)
+                        elif expected == 0:
+                            assert repr(value) == "0j", (str(e), n, k)
+                        else:
+                            assert value == pytest.approx(expected, rel=1e-12, abs=0), \
+                                (str(e), n, k)
+
+    def test_no_connected_sum_numerator_at_the_root(self, monkeypatch):
+        roots = []
+        connsum = jones._connsum
+
+        def spy(e, colors, memo):
+            roots.append(e)
+            return connsum(e, colors, memo)
+        monkeypatch.setattr(jones, "_connsum", spy)
+        for text in (T23_T25, f"twist(5;1;{T23_T25})", CONNSUMS[-1]):
+            for n in (1, 2, 7):
+                for k in range(1, 5):
+                    outcome(lambda: eval_normalized_at_root(parse(text), n, k))
+        assert roots == []
 
 
 class TestOnePath:
@@ -387,18 +436,18 @@ class TestGuards:
 
 
 class TestMomentColumns:
-    """Past their static bound, the columns are summed in wrapping int64 and
-    modulo one or two primes, and lifted by CRT; they must equal the sums
-    c q^i taken one term at a time in Python ints."""
+    """Within their static bound the columns are summed in int64, past it
+    as Python ints; either way they must equal the sums c q^i taken one
+    term at a time in Python ints."""
 
     @staticmethod
     def columns(monkeypatch, num, k, m=16):
         calls = []
         sum_columns = asympt._sum_columns
 
-        def spy(exps, coeffs, m, k, dtype, primes=()):
-            calls.append((dtype, len(primes)))
-            return sum_columns(exps, coeffs, m, k, dtype, primes)
+        def spy(exps, coeffs, m, k, dtype):
+            calls.append(dtype)
+            return sum_columns(exps, coeffs, m, k, dtype)
         monkeypatch.setattr(asympt, "_sum_columns", spy)
         x = asympt._moment_columns(num, m, k)
         sums = {}
@@ -424,62 +473,53 @@ class TestMomentColumns:
             exps, coeffs = [-e for e in reversed(exps)], coeffs[::-1]
         return _Numerator(np.array(exps), np.array(coeffs), max(1, abs(coeff)))
 
-    def test_cancelling_columns_stay_int64(self, monkeypatch):
+    def test_cancelling_columns_sum_python_ints(self, monkeypatch):
+        # Every sum is small, but no bound that is read off the terms shows it.
         for k, top in ((2, 2 ** 30), (3, 2 ** 20)):
             calls, x = self.columns(monkeypatch, self.numerator(top), k)
-            # Summed once, in int64 and mod one prime, and handed on as Python ints.
-            assert calls == [(np.int64, 1)] and x.dtype == object, k
+            assert calls == [object] and x.dtype == object, k
             assert any(x[k])
 
-    def test_columns_past_int64_are_lifted(self, monkeypatch):
-        # 16 (2^20)^3 = 2^64 in a column: the int64 sum wraps, the residues fix it.
+    def test_columns_past_int64_sum_python_ints(self, monkeypatch):
+        # 16 (2^20)^3 = 2^64 in a column.
         calls, x = self.columns(monkeypatch, self.numerator(2 ** 20, 16), 3)
-        assert calls == [(np.int64, 1)]
+        assert calls == [object]
         assert max(abs(v) for v in x[3]) >= 2 ** 64
 
     def test_columns_in_every_regime(self, monkeypatch):
-        # mass = (4 + coeff) qmax^k near 2^bits, with qmax = 2^b: int64 sums,
-        # one prime, two primes, and Python ints (at k = 1 only a coefficient
-        # past int64 gets there, and it makes the coefficients Python ints).
-        # Every exponent, m 2^56 + 9 at most, stays in int64.
-        regimes = ((50, [(np.int64, 0)]), (80, [(np.int64, 1)]),
-                   (110, [(np.int64, 2)]), (130, [(object, 0)]))
+        # mass = (4 + coeff) qmax^k near 2^bits, with qmax = 2^b: int64 sums
+        # below 2^62 and Python ints past it (at k = 1 only a coefficient
+        # past int64 gets to 130 bits, and it makes the coefficients Python
+        # ints).  Every exponent, m 2^56 + 9 at most, stays in int64.
+        regimes = ((50, np.int64), (80, object), (110, object), (130, object))
         for m in (12, 16, 20):  # 4N = 12 and 20 have an odd prime factor
             for k in range(1, 5):
-                for bits, dtypes in regimes:
+                for bits, dtype in regimes:
                     b = min(56, bits // k)
                     for mirrored in (False, True):
                         num = self.numerator(2 ** b - 1, 2 ** (bits - k * b), m, mirrored)
                         calls, x = self.columns(monkeypatch, num, k, m)
-                        assert calls == dtypes, (m, k, bits, mirrored)
-                        assert x.dtype == (np.int64 if bits < 62 else object)
+                        assert calls == [dtype] and x.dtype == dtype, (m, k, bits, mirrored)
 
     def test_mass_past_the_lift_range_sums_python_ints(self, monkeypatch):
-        # At k = 2, qmax = top + 1 = 2^40, so mass = (4 + coeff) 2^80; the
-        # column coeff top^2 nears the edge of each prime count's range.
-        p1, p2 = asympt._PRIMES
-        for edge, primes in ((p1 // 2 ** 17, 1), (p1 * p2 // 2 ** 17, 2)):
-            # edge: the largest 4 + coeff with mass below that range
-            for total, dtypes in ((edge, [(np.int64, primes)]),
-                                  (edge + 1, [(np.int64, 2)] if primes == 1 else
-                                   [(object, 0)])):
-                num = self.numerator(2 ** 40 - 1, total - 4)
-                calls, x = self.columns(monkeypatch, num, 2)
-                assert calls == dtypes and x.dtype == object, total
-                assert max(abs(v) for v in x[2]) >= edge * 2 ** 79
+        # Every mass from 2^62 on takes the Python-int sums.  With
+        # qmax = top + 1 = 2^b, mass = (4 + coeff) 2^(k b), and the column
+        # coeff top^k nears 2^62 at the edge.
+        for k, b in ((1, 40), (2, 20), (3, 13)):
+            edge = 2 ** (62 - k * b)  # the least 4 + coeff with mass 2^62
+            for total, dtype in ((edge - 1, np.int64), (edge, object)):
+                num = self.numerator(2 ** b - 1, total - 4)
+                calls, x = self.columns(monkeypatch, num, k)
+                assert calls == [dtype] and x.dtype == dtype, (k, total)
+                assert max(abs(v) for v in x[k]) >= 2 ** 61
 
-    def test_split_multiplicity_one_is_lifted(self, monkeypatch):
-        # sum |c| qmax = (2^40 + 4)(2^22 + 1) passes 2^62: k = 1 is lifted
-        # like every k, to the same Python ints as the Python-int sums.
-        num = self.numerator(2 ** 22, 2 ** 40)
-        calls, x = self.columns(monkeypatch, num, 1)
-        assert calls == [(np.int64, 1)] and x.dtype == object
-        with monkeypatch.context() as mp:
-            mp.setattr(asympt, "_PRIMES", ())
-            calls, x = self.columns(mp, num, 1)
-            assert calls == [(object, 0)] and x.dtype == object
+    def test_split_multiplicity_one_keeps_its_dtype_rule(self, monkeypatch):
+        # sum |c| qmax = (2^40 + 4)(2^22 + 1) passes 2^62: k = 1 takes the
+        # Python-int sums like every k.
+        calls, x = self.columns(monkeypatch, self.numerator(2 ** 22, 2 ** 40), 1)
+        assert calls == [object] and x.dtype == object
         calls, x = self.columns(monkeypatch, self.numerator(2 ** 20, 1), 1)
-        assert calls == [(np.int64, 0)] and x.dtype == np.int64
+        assert calls == [np.int64] and x.dtype == np.int64
 
     def test_split_union_of_four(self, monkeypatch):
         # J(K + s - 1 unknots) = J(K) [N]^(s-1), so at split multiplicity s
@@ -492,25 +532,23 @@ class TestMomentColumns:
                     expected = eval_normalized_at_root(parse(knot), n)
                     assert eval_normalized_at_root(union, n, s) == \
                         pytest.approx(expected, rel=1e-12, abs=0), (knot, s, n)
-        # The iterated cable with three unknots at k = 4: its terms' mass
-        # (2^96 at N = 128) is far past a float shadow's reach, yet its columns
-        # are summed in int64 and give the Python-int path's value exactly.
+        # The iterated cable with three unknots at k = 4: its whole numerator's
+        # mass (2^96 at N = 128) takes the Python-int sums, while the value
+        # from its factors reads only int64 columns.
         e = parse(f"connsum(cable(0,4;1;unknot),1;{ITERATED},1)")
         for n in (16, 32, 128):
-            num = colored_numerator(e, (n,) * 4)
             calls = []
             sum_columns = asympt._sum_columns
             with monkeypatch.context() as mp:
                 mp.setattr(asympt, "_sum_columns",
                            lambda *a: calls.append(a[4]) or sum_columns(*a))
-                value = asympt._value(num, n, 4)
-            assert calls == [np.int64], n
+                value = eval_normalized_at_root(e, n, 4)
+            assert set(calls) == {np.int64}, n
             if n < 128:
-                with monkeypatch.context() as mp:
-                    mp.setattr(asympt, "_PRIMES", ())
-                    assert value == asympt._value(num, n, 4)
-            else:  # the Python-int path's value, 1 s to recompute
-                assert value == 1667454.9606722656 - 563759.5818823582j
+                whole = asympt._value(colored_numerator(e, (n,) * 4), n, 4)
+            else:  # the whole numerator's value, 1 s to recompute
+                whole = 1667454.9606722656 - 563759.5818823582j
+            assert value == pytest.approx(whole, rel=1e-12)
             expected = eval_normalized_at_root(parse(ITERATED), n)
             assert value == pytest.approx(expected, rel=1e-12)
 
