@@ -24,10 +24,22 @@ of its operands (a gcd), never by scanning coefficients, and a polynomial
 with at most one term fits every lattice.  The quantum integer [n] lives on
 step 4, and so does everything the cabling engine builds from it, because
 cabling shifts differ by multiples of 4: the engine stores and adds a
-quarter of the entries a dense array would.  Supports are nearly contiguous
-on their lattice, so this form wins over a sparse map.  Values built from
-explicit terms start on step 1; a value read back from JSON takes the gcd
-of its exponent differences as its step.
+quarter of the entries a dense array would.  Values built from explicit
+terms start on step 1; a value read back from JSON takes the gcd of its
+exponent differences as its step.
+
+The engine's values are nearly contiguous on their lattice, but a value
+built from a few terms far apart is not.  Such a value also carries its
+support, _nz: the ascending int64 indices of its nonzero entries, kept when
+it is sparse (_is_sparse: a pass over the terms costs less than one over
+the array) and the operation that built it knew the support at no cost.
+_from_sums (from_terms, from_json_dict) sets it, a sparse product whose
+longer factor carries one sets it to the distinct sums of the two supports
+that survive cancellation, mirror reverses it, and negation and
+scale_shift keep it; every other operation stores None.  The coefficients stay in the one dense array
+either way.  A product, an evaluation at A0, equality, support() and
+num_terms() of a carrier cost its terms, apart from the zeroed buffer a
+product allocates; any other value takes the paths below.
 
 A product has three regimes.  It convolves when both factors are dense.
 When the shorter one is sparse, _add_product adds the products of the two
@@ -35,7 +47,8 @@ supports into one buffer of the product's exact length, in the dtype fixed
 up front by sum |c| * bound(longer), in whichever way counts fewer
 operations: scattering every product with np.add.at (two sparse factors),
 or one slice add of one factor, spread dense, per term of the other (a
-dense factor).  The cabling engine's connected sums use the same kernel.
+dense factor).  Carried supports replace the scans for both supports.  The
+cabling engine's connected sums use the same kernel.
 
 Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
 coefficients exactly per residue class of the exponent mod 4N, so
@@ -44,7 +57,7 @@ product with the powers of A0.  Whether a value at A0 is 0 is decided
 exactly, in one place: _exact_value takes 4N integer residue columns to
 their coordinates in a Z-basis of Z[A0], which all vanish exactly when the
 value does.  eval_at_root takes a value from it whenever the float dot is
-within its rounding bound of 0, so there is no tolerance to set.
+within 2^30 times its rounding bound of 0, so there is no tolerance to set.
 """
 
 from __future__ import annotations
@@ -264,35 +277,48 @@ def _nonzero_range(arr: np.ndarray) -> tuple[int, int]:
         hi = start
 
 
-def _wrap(val: int, arr: np.ndarray, bound: int, step: int) -> "LaurentPoly":
-    """A polynomial on `arr`, already trimmed and in its canonical dtype."""
+def _wrap(val: int, arr: np.ndarray, bound: int, step: int,
+          nz: np.ndarray | None = None) -> "LaurentPoly":
+    """A polynomial on `arr`, already trimmed and in its canonical dtype,
+    carrying `nz`, arr's support, when it is sparse (see _is_sparse)."""
     p = object.__new__(LaurentPoly)
     arr.setflags(write=False)
     p.val = val
     p.step = step
     p.coeffs = arr
     p._bound = bound
+    p._nz = nz
     return p
 
 
 def _make(val: int, arr: np.ndarray, bound: int | None = None,
-          step: int = 1) -> "LaurentPoly":
+          step: int = 1, nz: np.ndarray | None = None) -> "LaurentPoly":
     """The polynomial sum(arr[i] A^(val+step*i)), trimmed and in canonical dtype.
 
     ``bound`` is a proved upper bound on max|arr|.  When it is missing or does
     not show that the coefficients fit int64, the exact maximum is computed
-    and decides the dtype.  The result may share memory with `arr`.
+    and decides the dtype.  ``nz``, when given, is arr's support, which holds
+    arr's first and last entries, and the result carries it.  The result may
+    share memory with `arr`.
     """
     lo, hi = _nonzero_range(arr)
     if lo == hi:
         return LaurentPoly.zero()
     arr = arr[lo:hi]
     if bound is None or bound >= _INT64_BOUND:
-        bound = _max_abs(arr)
+        bound = _max_abs(arr if nz is None else arr[nz])
         dtype = _dtype(bound)
         if arr.dtype != dtype:
             arr = arr.astype(dtype)
-    return _wrap(val + lo * step, arr, bound, step)
+    return _wrap(val + lo * step, arr, bound, step, nz)
+
+
+def _is_sparse(terms: int, length: int) -> bool:
+    """Whether an array of `length` entries with `terms` nonzero ones is
+    sparse: a pass over its support, each term counted as one scattered
+    product, plus one term's Python overhead, costs less than a pass over
+    the array.  Sparse polynomials carry their support."""
+    return terms * _SCATTER_COST + _TERM_COST < length
 
 
 def _lattice(p: "LaurentPoly") -> int:
@@ -312,6 +338,19 @@ def _spread(arr: np.ndarray, k: int) -> np.ndarray:
 def _on(p: "LaurentPoly", step: int) -> np.ndarray:
     """p's coefficients on the finer lattice `step`, which divides p's."""
     return _spread(p.coeffs, p.step // step) if p.step != step else p.coeffs
+
+
+def _nz_on(p: "LaurentPoly", step: int) -> np.ndarray:
+    """p's carried support on the finer lattice `step`, which divides p's."""
+    return p._nz * (p.step // step) if p.step != step else p._nz
+
+
+def _same_terms(a: "LaurentPoly", b: "LaurentPoly", step: int) -> bool:
+    """Whether a and b, which carry their supports and start at the same
+    exponent, have the same support on the lattice `step` and the same
+    coefficients on it."""
+    return (_nz_on(a, step).tolist() == _nz_on(b, step).tolist()
+            and a.coeffs[a._nz].tolist() == b.coeffs[b._nz].tolist())
 
 
 def _common(a: "LaurentPoly", b: "LaurentPoly", offset: int = 0):
@@ -411,10 +450,12 @@ def _from_sums(sums: dict[int, int], step: int) -> "LaurentPoly":
     if not sums:
         return LaurentPoly.zero()
     lo = min(sums)
-    bound = max(abs(c) for c in sums.values())
-    out = np.zeros((max(sums) - lo) // step + 1, dtype=_dtype(bound))
-    out[np.array([(e - lo) // step for e in sums], dtype=np.int64)] = list(sums.values())
-    return _wrap(lo, out, bound, step)
+    bound = max(map(abs, sums.values()))
+    n = (max(sums) - lo) // step + 1
+    out = np.zeros(n, dtype=_dtype(bound))
+    nz = np.array([(e - lo) // step for e in sums], dtype=np.int64)
+    out[nz] = list(sums.values())
+    return _wrap(lo, out, bound, step, np.sort(nz) if _is_sparse(len(sums), n) else None)
 
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -434,8 +475,10 @@ class LaurentPoly:
     True
     """
 
-    # _bound >= max |coeffs|, proved by the operation that built the value.
-    __slots__ = ("val", "step", "coeffs", "_bound")
+    # _bound >= max |coeffs|, proved by the operation that built the value;
+    # _nz is the support of a sparse value when that operation knew it, or
+    # None.
+    __slots__ = ("val", "step", "coeffs", "_bound", "_nz")
 
     def __init__(self, val: int, coeffs: Sequence[int]):
         try:
@@ -444,6 +487,7 @@ class LaurentPoly:
             arr = np.array(coeffs, dtype=object)
         p = _make(val, arr)
         self.val, self.step, self.coeffs, self._bound = p.val, p.step, p.coeffs, p._bound
+        self._nz = None
 
     # -- constructors ---------------------------------------------------
 
@@ -484,11 +528,13 @@ class LaurentPoly:
     def support(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for every nonzero term, ascending."""
         v, s = self.val, self.step
-        nz = _support(self.coeffs)
+        nz = _support(self.coeffs) if self._nz is None else self._nz
         for i, c in zip(nz.tolist(), self.coeffs[nz].tolist()):
             yield v + s * i, c
 
     def num_terms(self) -> int:
+        if self._nz is not None:
+            return len(self._nz)
         return int(np.count_nonzero(self.coeffs))
 
     def coefficient(self, exponent: int) -> int:
@@ -519,14 +565,18 @@ class LaurentPoly:
         a, b = self.coeffs, other.coeffs
         if self.step != other.step and len(a) > 1 and len(b) > 1:
             # Neither step need be the coarsest lattice of the support, so
-            # compare the ends, then both arrays on the common finer lattice.
+            # compare the ends, then both values on the common finer lattice.
             if (self.val != other.val or self.maxdeg != other.maxdeg
                     or a.dtype != b.dtype):
                 return False
             g = math.gcd(self.step, other.step)
+            if self._nz is not None and other._nz is not None:
+                return _same_terms(self, other, g)
             a, b = _on(self, g), _on(other, g)
         elif self.val != other.val or len(a) != len(b) or a.dtype != b.dtype:
             return False  # the dtype is a function of the value
+        elif self._nz is not None and other._nz is not None:
+            return _same_terms(self, other, self.step)
         if a.dtype == object or len(a) > _EQ_BYTES_MAX:
             return bool((a == b).all())
         return a.tobytes() == b.tobytes()
@@ -537,7 +587,7 @@ class LaurentPoly:
         return bool(len(self.coeffs))
 
     def __neg__(self) -> "LaurentPoly":
-        return _wrap(self.val, -self.coeffs, self._bound, self.step)
+        return _wrap(self.val, -self.coeffs, self._bound, self.step, self._nz)
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -581,7 +631,11 @@ class LaurentPoly:
         if len(a.coeffs) > len(b.coeffs):
             a, b = b, a
         la, lb = len(a.coeffs), len(b.coeffs)
-        if la * lb <= np.count_nonzero(a.coeffs) * (lb + _TERM_COST):
+        # A nonzero factor has a term, so the first test needs no count; a
+        # shorter factor that carries its support fails both whatever the
+        # longer one (see _is_sparse).
+        if (la * lb <= lb + _TERM_COST or a._nz is None
+                and la * lb <= np.count_nonzero(a.coeffs) * (lb + _TERM_COST)):
             # Dense enough to convolve, on the lattice gcd(step_a, step_b).
             # Every output coefficient sums at most la nonzero products (the
             # lattice change adds only zeros), each bounded by the product
@@ -598,12 +652,23 @@ class LaurentPoly:
         # most one product per term of x, so sum |c| * bound(b) bounds every
         # partial sum and every product.
         s, x, y = _common(a, b)
-        ka = _support(x)
+        ka = _support(x) if a._nz is None else _nz_on(a, s)
         ca = x[ka]
         bound = sum(abs(c) for c in ca.tolist()) * b._bound
         dtype = _dtype(bound)
         ca = ca.astype(dtype, copy=False)
         out = np.zeros(len(x) + len(y) - 1, dtype=dtype)
+        if b._nz is not None:
+            # Both supports are known, so the product's is the distinct sums
+            # of theirs whose entries survive cancellation.  The product's
+            # ends are the products of the factors' ends, so they survive.
+            kb = _nz_on(b, s)
+            _add_product(out, ka, ca, kb, y[kb].astype(dtype, copy=False))
+            nz = None
+            if _is_sparse(len(ka) * len(kb), len(out)):
+                nz = np.unique(ka[:, None] + kb)
+                nz = nz[out[nz] != 0]
+            return _make(a.val + b.val, out, bound, s, nz)
         nonzero = y != 0
         if int(np.count_nonzero(nonzero)) * _SCATTER_COST > len(y) + _TERM_COST:
             # The kernel would not scatter, since one shifted add of y costs
@@ -634,11 +699,12 @@ class LaurentPoly:
         if coeff == 0 or not len(self.coeffs):
             return LaurentPoly.zero()
         if coeff == 1:
-            return _wrap(self.val + shift, self.coeffs, self._bound, self.step)
+            return _wrap(self.val + shift, self.coeffs, self._bound, self.step, self._nz)
         bound = abs(int(coeff)) * self._bound
         if bound < _INT64_BOUND:
-            return _wrap(self.val + shift, self.coeffs * coeff, bound, self.step)
-        return _make(self.val + shift, self.coeffs.astype(object) * coeff, step=self.step)
+            return _wrap(self.val + shift, self.coeffs * coeff, bound, self.step, self._nz)
+        return _make(self.val + shift, self.coeffs.astype(object) * coeff,
+                     step=self.step, nz=self._nz)
 
     def exact_divide(self, b: "LaurentPoly") -> "LaurentPoly":
         """Return q with self = q * b exactly, else raise NotDivisible.
@@ -696,7 +762,10 @@ class LaurentPoly:
         """Substitute A -> A^(-1): the coefficient of A^k moves to A^(-k)."""
         if not len(self.coeffs):
             return self
-        return _wrap(-self.maxdeg, self.coeffs[::-1], self._bound, self.step)
+        nz = self._nz
+        if nz is not None:
+            nz = len(self.coeffs) - 1 - nz[::-1]
+        return _wrap(-self.maxdeg, self.coeffs[::-1], self._bound, self.step, nz)
 
     def eval_at_root(self, pt: RootOfUnityPoint) -> complex:
         """Evaluate at A0 = exp(i*pi/2N) by exact residue-class reduction.
@@ -704,29 +773,46 @@ class LaurentPoly:
         The coefficients are summed exactly per residue class of the
         exponent mod 4N before any floating-point work, so exponent
         magnitude never costs precision; one dot product with the powers of
-        A0 finishes.  That dot errs by at most (4N + 64) 2^-52 sum |c|: each
-        sum converts and each product rounds within 2^-53 relative, each
-        power of A0 lies within 32 * 2^-53 of exact, the sum adds
+        A0 finishes.  A carried support is folded term by term, any other
+        array row by row.  That dot errs by at most (4N + 64) 2^-52 sum |c|:
+        each sum converts and each product rounds within 2^-53 relative,
+        each power of A0 lies within 32 * 2^-53 of exact, the sum adds
         (4N - 1) 2^-53 of the total, and the two components double that.
-        A value that small is taken again from the exact sums by
-        _exact_value, so a zero value is exactly 0j.
+        A value below 2^30 times that bound is taken again from the exact
+        sums by _exact_value, so a zero value is exactly 0j and any other
+        is within 2^-30 of exact, relative, however much cancels.
         """
         order = pt.order
-        start, sums = self._residue_sums(order)
         s = self.step
-        if order % s:
-            powers = pt.powers()[(start + s * np.arange(len(sums))) % order]
+        nz = self._nz
+        if nz is None:
+            terms = len(self.coeffs)
+            start, sums = self._residue_sums(order)
+            if order % s:
+                powers = pt.powers()[(start + s * np.arange(len(sums))) % order]
+            else:
+                powers = pt.powers()[start: start + s * len(sums): s]
+            value = complex(np.dot(sums, powers))
         else:
-            powers = pt.powers()[start: start + s * len(sums): s]
-        value = complex(np.dot(sums, powers))
-        # sum |c| <= len * bound; a float and an int compare exactly, with
-        # no overflow however large the bound.  The zero polynomial's empty
-        # dot is exactly 0j.
-        if (abs(value) * 2.0 ** 52 > (order + 64) * len(self.coeffs) * self._bound
-                or not len(self.coeffs)):
+            # columns[j] sums the terms of exponent start + j mod 4N; one
+            # column sums at most every term.
+            terms = len(nz)
+            start = self.val % order
+            columns = np.zeros(order, dtype=_dtype(terms * self._bound))
+            np.add.at(columns, (s * nz) % order,
+                      self.coeffs[nz].astype(columns.dtype, copy=False))
+            value = complex(np.dot(columns, pt.powers()[start: start + order]))
+        # |value| >= 2^30 (4N + 64) 2^-52 sum |c|, with sum |c| <= terms *
+        # bound; a float and an int compare exactly, with no overflow
+        # however large the bound.  The zero polynomial's empty dot is
+        # exactly 0j and passes.
+        if abs(value) * 2.0 ** 22 >= (order + 64) * terms * self._bound:
             return value
-        columns = np.zeros(order, dtype=object)  # sum |columns| may pass 2^62
-        columns[(start + s * np.arange(len(sums))) % order] = sums
+        if nz is None:
+            columns = np.zeros(order, dtype=object)  # sum |columns| may pass 2^62
+            columns[(start + s * np.arange(len(sums))) % order] = sums
+        else:
+            columns = np.roll(columns, start)
         return _exact_value(columns, pt.N)
 
     def _residue_sums(self, order: int) -> tuple[int, np.ndarray]:

@@ -11,6 +11,7 @@ lattices of steps 1, 2, 3, 4 and 6, mixed with monomials.
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -628,3 +629,188 @@ class TestWideEquality:
         assert a == _make(a.val, spread, step=2)
         spread[len(spread) // 2 + 1] = 1
         assert a != _make(a.val, spread, step=2)
+
+
+# -- carried supports ---------------------------------------------------------
+
+def carried(p: LaurentPoly) -> LaurentPoly:
+    """p, once a support that it carries is checked against its array."""
+    if p._nz is not None:
+        assert p._nz.dtype == np.int64
+        assert p._nz.tolist() == laurent._support(p.coeffs).tolist()
+    return p
+
+
+def dropped(p: LaurentPoly) -> LaurentPoly:
+    """The same value on the same array, carrying no support."""
+    return laurent._wrap(p.val, p.coeffs, p._bound, p.step)
+
+
+def wide_sparse(rng, step: int = 1, mag: int = 10 ** 6, top: float = 6) -> LaurentPoly:
+    """3 to 8 terms over a span of 1e3 to 10^top exponents, all multiples of
+    `step` apart, read back from JSON, which puts them on that lattice (or
+    a coarser one) and carries the support when it is sparse."""
+    span = int(10 ** rng.uniform(3, top)) // step
+    ks = {0, span} | {rng.randint(1, span - 1) for _ in range(rng.randint(1, 6))}
+    lo = rng.randint(-10 ** 6, 10 ** 5)
+    terms = [[lo + step * k, str(rng.choice((-1, 1)) * rng.randint(1, mag))] for k in ks]
+    return carried(LaurentPoly.from_json_dict({"variable": "A", "terms": terms}))
+
+
+def carried_pairs(rng):
+    """Pairs with at least one sparse factor of 1 to 8 terms: on steps 1, 2
+    and 4, with Python-int coefficients, against sparse, dense, monomial
+    and zero factors, and (A^a + A^(a+k)) (A^b - A^(b+k)), whose middle
+    cancels."""
+    # Python-int arrays are slow to build and check, so they span less.
+    sparse = [wide_sparse(rng, step, mag, top)
+              for step in (1, 2, 4) for mag, top in ((10 ** 6, 6), (2 ** 70, 4.5))
+              for _ in range(6)]
+    sparse += [LaurentPoly.from_terms([(-8, 5), (span - 8, -(2 ** 70))])
+               for span in (1500, 3000, 30000)]
+    others = [random_poly(rng, nonzero=True), LaurentPoly.monomial(-7, 12), LaurentPoly.zero(),
+              LaurentPoly.from_terms([(5, 3), (5, -3)]),        # cancels to zero
+              LaurentPoly.from_terms([(5, 3), (8, 1), (8, -1)])]  # to one term
+    for a in sparse:
+        yield a, rng.choice(sparse)
+        yield a, rng.choice(others)
+    # A dense factor longer than the sparse one.
+    dense = LaurentPoly(-3, [2, -1, 5] * 3000)
+    for step in (1, 2, 4):
+        yield wide_sparse(rng, step, top=3.8), dense
+    for k in (3000, 4 * 10 ** 5):
+        yield (LaurentPoly.from_terms([(-9, 1), (k - 9, 1)]),
+               LaurentPoly.from_terms([(4, 1), (k + 4, -1)]))
+
+
+class TestCarriedSupport:
+    """A polynomial that carries its support gives what the same array gives
+    without it, and the support it carries is its true one."""
+
+    def test_products(self, rng):
+        kinds = set()
+        for a, b in carried_pairs(rng):
+            for x, y in ((a, b), (b, a)):
+                p = carried(x * y)
+                expected = dropped(x) * dropped(y)
+                check(p, ref_mul(ref(x), ref(y)))
+                assert p == expected and expected == p
+                assert p.coeffs.dtype == expected.coeffs.dtype and p.step == expected.step
+                kinds.add((x._nz is not None, y._nz is not None, p._nz is not None))
+        # Two carriers give a carrier; two non-carriers never do.
+        assert (True, True, False) not in kinds and (False, False, True) not in kinds
+        assert {(True, True, True), (True, False, False), (False, False, False)} <= kinds
+
+    def test_middle_cancellation(self):
+        k = 4 * 10 ** 5
+        p = carried(LaurentPoly.from_terms([(0, 1), (k, 1)])
+                    * LaurentPoly.from_terms([(0, 1), (k, -1)]))
+        assert p._nz.tolist() == [0, 2 * k] and ref(p) == {0: 1, 2 * k: -1}
+
+    def test_unary_operations_and_json(self, rng):
+        for a, _ in carried_pairs(rng):
+            for p, expected in ((-a, -dropped(a)),
+                                (a.scale_shift(1, 7), dropped(a).scale_shift(1, 7)),
+                                (a.scale_shift(-3, -2), dropped(a).scale_shift(-3, -2)),
+                                (a.scale_shift(2 ** 70, 0), dropped(a).scale_shift(2 ** 70, 0)),
+                                (a.mirror(), dropped(a).mirror()),
+                                (a.mirror().mirror(), a)):
+                carried(p)
+                assert p._nz is None or a._nz is not None
+                assert p == expected and expected == p
+                assert p.coeffs.dtype == expected.coeffs.dtype
+            assert list(a.support()) == list(dropped(a).support())
+            assert a.num_terms() == dropped(a).num_terms() and str(a) == str(dropped(a))
+            back = carried(LaurentPoly.from_json_dict(json.loads(json.dumps(a.to_json_dict()))))
+            assert back == a and list(back.support()) == list(a.support())
+            if back.step == a.step:
+                assert (back._nz is None) == (a._nz is None)
+
+    def test_eval_at_root(self, rng):
+        for a, b in carried_pairs(rng):
+            for p in (a, a * b, a.mirror()):
+                for n in (2, 5, 12, 30):
+                    pt = RootOfUnityPoint(n)
+                    got, expected = p.eval_at_root(pt), dropped(p).eval_at_root(pt)
+                    assert abs(got - expected) <= 1e-12 * abs(expected)
+                    assert str(got) == str(expected) or got
+        # c A^a - c A^(a + 4N t) vanishes at A0 exactly; so does it times
+        # anything, and one more term is its value.
+        for n in (3, 8, 30):
+            pt = RootOfUnityPoint(n)
+            for c in (7, 2 ** 70):
+                z = carried(LaurentPoly.from_terms([(-5, c), (-5 + 4 * n * 1000, -c)]))
+                assert z._nz is not None
+                for p in (z, z * wide_sparse(random.Random(n)), z.mirror()):
+                    assert str(p.eval_at_root(pt)) == str(dropped(p).eval_at_root(pt)) == "0j"
+                one = carried(LaurentPoly.from_terms([*z.support(), (4 * n * 500, 1)]))
+                assert one._nz is not None and one.eval_at_root(pt) == 1
+
+    def test_equality_against_a_changed_coefficient(self, rng):
+        for a, _ in carried_pairs(rng):
+            if a._nz is None:
+                continue
+            assert a == dropped(a) and dropped(a) == a
+            for i in (a._nz[0], a._nz[len(a._nz) // 2], a._nz[-1]):
+                c = a.coeffs.copy()
+                c[i] += 1
+                for b in (laurent._wrap(a.val, c, a._bound + 1, a.step, a._nz),
+                          _make(a.val, c, step=a.step)):
+                    assert a != b and b != a
+            # A term added between two of a's also makes them differ.
+            gap = int(np.argmax(np.diff(a._nz)))
+            other = carried(a + LaurentPoly.monomial(1, a.val + a.step * (int(a._nz[gap]) + 1)))
+            assert a != other and other != a
+
+
+class TestSparseCasesCostTheirTerms:
+    """Ring-style sparse cases never scan a coefficient array; small dense
+    cases still do."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        calls = []
+        support, residue_sums = laurent._support, LaurentPoly._residue_sums
+
+        def spy_support(arr):
+            calls.append("_support")
+            return support(arr)
+
+        def spy_residue_sums(self, order):
+            calls.append("_residue_sums")
+            return residue_sums(self, order)
+
+        monkeypatch.setattr(laurent, "_support", spy_support)
+        monkeypatch.setattr(LaurentPoly, "_residue_sums", spy_residue_sums)
+        return calls
+
+    @staticmethod
+    def ring_case(a: LaurentPoly, b: LaurentPoly, pt: RootOfUnityPoint):
+        a.eval_at_root(pt)
+        (a * b).eval_at_root(pt)
+        a.mirror().eval_at_root(pt)
+        assert a.mirror().mirror() == a
+
+    def test_sparse_cases(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for span in (10 ** 4, 3 * 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6):
+            a = LaurentPoly.from_terms(ring_terms(rng, span))
+            b = LaurentPoly.from_terms(ring_terms(rng, span - rng.randint(0, 1000)))
+            self.ring_case(a, b, RootOfUnityPoint(rng.randint(2, 30)))
+            self.ring_case(b, a, RootOfUnityPoint(rng.randint(2, 30)))
+            a.to_json_dict(), str(a)
+        assert calls == []
+
+    def test_dense_cases(self, rng, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for _ in range(20):
+            a, b = random_poly(rng, nonzero=True), random_poly(rng, nonzero=True)
+            self.ring_case(a, b, RootOfUnityPoint(rng.randint(2, 30)))
+        assert calls.count("_residue_sums") == 60
+        calls.clear()
+        # Five terms over a span too short to carry take the sparse product
+        # on a scanned support.
+        a = LaurentPoly.from_terms(ring_terms(rng, 1500))
+        assert a._nz is None
+        a * LaurentPoly.from_terms(ring_terms(rng, 1600))
+        assert calls == ["_support"]

@@ -130,6 +130,14 @@ class TestEvalAtRoot:
             assert str(big.eval_at_root(pt)) == "0j"
             assert (big + 1).eval_at_root(pt) == 1
 
+    def test_exact_just_above_the_rounding_bound(self):
+        # These values lie a little above the float dot's error bound, where
+        # the dot alone kept about three digits (261888 - 128i for the first).
+        for n, value in ((4, 2 ** 18), (12, 2 ** 20)):
+            p = 2 ** 60 * quantum_integer(n) + value
+            got = p.eval_at_root(RootOfUnityPoint(n))
+            assert abs(got - value) <= 1e-12 * value
+
     def test_full_period_power_is_one(self):
         for n in (2, 5, 9):
             p = LaurentPoly.monomial(1, 4 * n)
