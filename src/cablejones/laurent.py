@@ -33,22 +33,30 @@ built from a few terms far apart is not.  Such a value also carries its
 support, _nz: the ascending int64 indices of its nonzero entries, kept when
 it is sparse (_is_sparse: a pass over the terms costs less than one over
 the array) and the operation that built it knew the support at no cost.
-_from_sums (from_terms, from_json_dict) sets it, a sparse product whose
-longer factor carries one sets it to the distinct sums of the two supports
-that survive cancellation, mirror reverses it, and negation and
-scale_shift keep it; every other operation stores None.  The coefficients stay in the one dense array
-either way.  A product, an evaluation at A0, equality, support() and
+_from_sums (from_terms, from_json_dict) sets it, a sparse product sets it
+to the distinct sums of the two supports that survive cancellation, mirror
+reverses it, and negation and scale_shift keep it; every other operation
+stores None.  The coefficients stay in the one dense array either way, and
+_terms reads a value's terms: the carried support, or one scan of the
+array.  A product, an evaluation at A0, equality, support() and
 num_terms() of a carrier cost its terms, apart from the zeroed buffer a
-product allocates; any other value takes the paths below.
+product allocates and any spread onto a common finer lattice; any other
+value takes the paths below.
 
-A product has three regimes.  It convolves when both factors are dense.
-When the shorter one is sparse, _add_product adds the products of the two
-supports into one buffer of the product's exact length, in the dtype fixed
-up front by sum |c| * bound(longer), in whichever way counts fewer
-operations: scattering every product with np.add.at (two sparse factors),
-or one slice add of one factor, spread dense, per term of the other (a
-dense factor).  Carried supports replace the scans for both supports.  The
-cabling engine's connected sums use the same kernel.
+A binary operation first aligns its operands on the lattice
+gcd(step_a, step_b) with _common.  A product then decides once, from both
+factors' aligned lengths la, lb and term counts ta, tb: it convolves, at
+la lb multiply-adds, unless _add_product costs less, at
+min(ta tb _SCATTER_COST + _TERM_COST, ta (lb + _TERM_COST),
+tb (la + _TERM_COST)).  That kernel adds the products of the two supports
+into one buffer of the product's exact length, in the dtype fixed up front
+by sum |c| over the factor of fewer terms times the other's bound, in
+whichever way counts fewer operations: scattering every product with
+np.add.at, or one slice add of one factor, spread dense, per term of the
+other.  Its product carries its support when _is_sparse(ta tb, la + lb - 1)
+holds; a product that convolves never passes that test, as
+la lb >= la + lb - 1.  The cabling engine's connected sums use the same
+kernel.
 
 Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
 coefficients exactly per residue class of the exponent mod 4N, so
@@ -86,9 +94,9 @@ _INT64_BOUND = 1 << 62
 # Trimming scans this many entries at a time inward from each end.
 _SCAN = 4096
 
-# A product takes the sparse path when its convolution would cost more
-# multiply-adds than one slice add per nonzero term, with the Python
-# overhead of a term counted as this many multiply-adds.
+# A product calls the sparse kernel when its convolution would cost more
+# multiply-adds than the kernel, with the Python overhead of a term, or of
+# one scatter, counted as this many multiply-adds.
 _TERM_COST = 2048
 
 # The sparse path scatters when that counts fewer operations than shifted
@@ -340,17 +348,12 @@ def _on(p: "LaurentPoly", step: int) -> np.ndarray:
     return _spread(p.coeffs, p.step // step) if p.step != step else p.coeffs
 
 
-def _nz_on(p: "LaurentPoly", step: int) -> np.ndarray:
-    """p's carried support on the finer lattice `step`, which divides p's."""
+def _terms(p: "LaurentPoly", arr: np.ndarray, step: int) -> np.ndarray:
+    """The ascending indices of p's terms in arr, p's coefficients on the
+    lattice `step`, which divides p's: its carried support, or one scan."""
+    if p._nz is None:
+        return _support(arr)
     return p._nz * (p.step // step) if p.step != step else p._nz
-
-
-def _same_terms(a: "LaurentPoly", b: "LaurentPoly", step: int) -> bool:
-    """Whether a and b, which carry their supports and start at the same
-    exponent, have the same support on the lattice `step` and the same
-    coefficients on it."""
-    return (_nz_on(a, step).tolist() == _nz_on(b, step).tolist()
-            and a.coeffs[a._nz].tolist() == b.coeffs[b._nz].tolist())
 
 
 def _common(a: "LaurentPoly", b: "LaurentPoly", offset: int = 0):
@@ -528,14 +531,12 @@ class LaurentPoly:
     def support(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for every nonzero term, ascending."""
         v, s = self.val, self.step
-        nz = _support(self.coeffs) if self._nz is None else self._nz
+        nz = _terms(self, self.coeffs, s)
         for i, c in zip(nz.tolist(), self.coeffs[nz].tolist()):
             yield v + s * i, c
 
     def num_terms(self) -> int:
-        if self._nz is not None:
-            return len(self._nz)
-        return int(np.count_nonzero(self.coeffs))
+        return len(_terms(self, self.coeffs, self.step))
 
     def coefficient(self, exponent: int) -> int:
         i, off = divmod(exponent - self.val, self.step)
@@ -562,21 +563,17 @@ class LaurentPoly:
             other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if self.step != other.step and len(a) > 1 and len(b) > 1:
-            # Neither step need be the coarsest lattice of the support, so
-            # compare the ends, then both values on the common finer lattice.
-            if (self.val != other.val or self.maxdeg != other.maxdeg
-                    or a.dtype != b.dtype):
-                return False
-            g = math.gcd(self.step, other.step)
-            if self._nz is not None and other._nz is not None:
-                return _same_terms(self, other, g)
-            a, b = _on(self, g), _on(other, g)
-        elif self.val != other.val or len(a) != len(b) or a.dtype != b.dtype:
+        if self.val != other.val or self.coeffs.dtype != other.coeffs.dtype:
             return False  # the dtype is a function of the value
-        elif self._nz is not None and other._nz is not None:
-            return _same_terms(self, other, self.step)
+        s, a, b = self.step, self.coeffs, other.coeffs
+        if other.step != s:  # equal steps skip the call: equality is hot
+            s, a, b = _common(self, other)
+        if len(a) != len(b):
+            return False
+        if self._nz is not None and other._nz is not None:
+            k = _terms(self, a, s)
+            return (k.tolist() == _terms(other, b, s).tolist()
+                    and a[k].tolist() == b[k].tolist())
         if a.dtype == object or len(a) > _EQ_BYTES_MAX:
             return bool((a == b).all())
         return a.tobytes() == b.tobytes()
@@ -628,56 +625,43 @@ class LaurentPoly:
         if not len(self.coeffs) or not len(other.coeffs):
             return LaurentPoly.zero()
         a, b = self, other
-        if len(a.coeffs) > len(b.coeffs):
-            a, b = b, a
-        la, lb = len(a.coeffs), len(b.coeffs)
-        # A nonzero factor has a term, so the first test needs no count; a
-        # shorter factor that carries its support fails both whatever the
-        # longer one (see _is_sparse).
-        if (la * lb <= lb + _TERM_COST or a._nz is None
-                and la * lb <= np.count_nonzero(a.coeffs) * (lb + _TERM_COST)):
-            # Dense enough to convolve, on the lattice gcd(step_a, step_b).
-            # Every output coefficient sums at most la nonzero products (the
-            # lattice change adds only zeros), each bounded by the product
-            # of the bounds.  The extreme products
-            # are nonzero, so the result needs no trimming.
-            s, x, y = _common(a, b)
-            bound = la * a._bound * b._bound
-            if bound < _INT64_BOUND:
-                return _wrap(a.val + b.val, np.convolve(x, y), bound, s)
-            # One object operand makes numpy convolve on Python ints.
-            return _make(a.val + b.val, np.convolve(x.astype(object), y), step=s)
-        # Sparse: the product of the two supports, added into one buffer
-        # sized exactly for the product.  Each output coefficient sums at
-        # most one product per term of x, so sum |c| * bound(b) bounds every
-        # partial sum and every product.
         s, x, y = _common(a, b)
-        ka = _support(x) if a._nz is None else _nz_on(a, s)
-        ca = x[ka]
-        bound = sum(abs(c) for c in ca.tolist()) * b._bound
-        dtype = _dtype(bound)
-        ca = ca.astype(dtype, copy=False)
-        out = np.zeros(len(x) + len(y) - 1, dtype=dtype)
-        if b._nz is not None:
-            # Both supports are known, so the product's is the distinct sums
-            # of theirs whose entries survive cancellation.  The product's
-            # ends are the products of the factors' ends, so they survive.
-            kb = _nz_on(b, s)
-            _add_product(out, ka, ca, kb, y[kb].astype(dtype, copy=False))
-            nz = None
-            if _is_sparse(len(ka) * len(kb), len(out)):
-                nz = np.unique(ka[:, None] + kb)
-                nz = nz[out[nz] != 0]
-            return _make(a.val + b.val, out, bound, s, nz)
-        nonzero = y != 0
-        if int(np.count_nonzero(nonzero)) * _SCATTER_COST > len(y) + _TERM_COST:
-            # The kernel would not scatter, since one shifted add of y costs
-            # less than its products: add y as it is, with no support built.
-            _add_shifted(out, ka.tolist(), ca.tolist(), y.astype(dtype, copy=False))
-        else:
-            kb = nonzero.nonzero()[0]
-            _add_product(out, ka, ca, kb, y[kb].astype(dtype, copy=False))
-        return _make(a.val + b.val, out, bound, s)
+        la, lb = len(x), len(y)
+        # Each factor has a term, so the kernel costs more than _TERM_COST
+        # and the first test needs no count.
+        if la * lb > _TERM_COST:
+            ka, kb = _terms(a, x, s), _terms(b, y, s)
+            ta, tb = len(ka), len(kb)
+            if la * lb > min(ta * tb * _SCATTER_COST + _TERM_COST,
+                             ta * (lb + _TERM_COST), tb * (la + _TERM_COST)):
+                # The factor of fewer terms goes first.  Each output
+                # coefficient sums at most one product per term of it, so
+                # its sum |c| times bound(b) bounds every partial sum and
+                # every product.
+                if ta > tb:
+                    a, b, x, y, ka, kb = b, a, y, x, kb, ka
+                ca = x[ka]
+                bound = sum(abs(c) for c in ca.tolist()) * b._bound
+                dtype = _dtype(bound)
+                out = np.zeros(la + lb - 1, dtype=dtype)
+                _add_product(out, ka, ca.astype(dtype, copy=False),
+                             kb, y[kb].astype(dtype, copy=False))
+                nz = None
+                if _is_sparse(ta * tb, len(out)):
+                    # The product's support is among the distinct sums of
+                    # the two; its ends, the products of the factors' ends,
+                    # survive cancellation.
+                    nz = np.unique(ka[:, None] + kb)
+                    nz = nz[out[nz] != 0]
+                return _make(a.val + b.val, out, bound, s, nz)
+        # Convolve.  Every output coefficient sums at most min(la, lb)
+        # nonzero products, each bounded by the product of the bounds.  The
+        # extreme products are nonzero, so the result needs no trimming.
+        bound = (la if la < lb else lb) * a._bound * b._bound
+        if bound < _INT64_BOUND:
+            return _wrap(a.val + b.val, np.convolve(x, y), bound, s)
+        # One object operand makes numpy convolve on Python ints.
+        return _make(a.val + b.val, np.convolve(x.astype(object), y), step=s)
 
     __rmul__ = __mul__
 
@@ -727,7 +711,7 @@ class LaurentPoly:
             raise NotDivisible("degree span smaller than the divisor's")
         rem = x.tolist()
         btop = int(y[-1])
-        nz = _support(y)
+        nz = _terms(b, y, s)
         terms = list(zip(nz.tolist(), y[nz].tolist()))
         q = [0] * (len(rem) - nb + 1)
         for k in range(len(rem) - 1, nb - 2, -1):

@@ -697,9 +697,12 @@ class TestCarriedSupport:
                 assert p == expected and expected == p
                 assert p.coeffs.dtype == expected.coeffs.dtype and p.step == expected.step
                 kinds.add((x._nz is not None, y._nz is not None, p._nz is not None))
-        # Two carriers give a carrier; two non-carriers never do.
-        assert (True, True, False) not in kinds and (False, False, True) not in kinds
-        assert {(True, True, True), (True, False, False), (False, False, False)} <= kinds
+                # A product carries exactly when its term bound is sparse,
+                # whichever factor carried.
+                assert (p._nz is not None) == laurent._is_sparse(
+                    x.num_terms() * y.num_terms(), len(p.coeffs))
+        assert {(True, True, True), (True, False, True), (True, False, False),
+                (False, False, False)} <= kinds
 
     def test_middle_cancellation(self):
         k = 4 * 10 ** 5
@@ -746,6 +749,39 @@ class TestCarriedSupport:
                 one = carried(LaurentPoly.from_terms([*z.support(), (4 * n * 500, 1)]))
                 assert one._nz is not None and one.eval_at_root(pt) == 1
 
+    def test_carrier_times_a_wide_sparse_sum(self, monkeypatch):
+        # A sum carries no support, so its own value at A0 counts every
+        # entry as a term in the rounding bound and often takes the exact
+        # path; its product with a carrier counts the terms and carries.
+        rng = random.Random(11)
+        exact = []
+        exact_value = laurent._exact_value
+
+        def spy(columns, n):
+            exact.append(n)
+            return exact_value(columns, n)
+
+        monkeypatch.setattr(laurent, "_exact_value", spy)
+        products = []
+        for _ in range(50):
+            terms = ring_terms(rng, 8800)
+            a = LaurentPoly.from_terms(ring_terms(rng, 8800))
+            b = LaurentPoly.from_terms(terms[:2]) + LaurentPoly.from_terms(terms[2:])
+            assert a._nz is not None and b._nz is None
+            p = carried(a * b)
+            check(p, ref_mul(ref(a), ref(b)))
+            assert p._nz is not None
+            products.append(p)
+        points = [RootOfUnityPoint(n) for n in (2, 5, 12, 30)]
+        for p in products:
+            for pt in points:
+                p.eval_at_root(pt)
+        assert exact == []
+        for p in products:
+            for pt in points:
+                dropped(p).eval_at_root(pt)
+        assert exact
+
     def test_equality_against_a_changed_coefficient(self, rng):
         for a, _ in carried_pairs(rng):
             if a._nz is None:
@@ -761,6 +797,37 @@ class TestCarriedSupport:
             gap = int(np.argmax(np.diff(a._nz)))
             other = carried(a + LaurentPoly.monomial(1, a.val + a.step * (int(a._nz[gap]) + 1)))
             assert a != other and other != a
+
+
+class TestProductsCountBothFactors:
+    """A product decides to convolve from both factors' lengths and term
+    counts on their common lattice, so a factor that is short only on its
+    own coarse lattice, or a dense factor times a sparse longer one, never
+    convolves."""
+
+    def test_coarse_two_term_factor(self, monkeypatch):
+        # Read back from JSON, two terms 30000 apart sit on step 30000 in
+        # two entries; on step 1 they span 30001.
+        no_convolve(monkeypatch)
+        three = LaurentPoly.from_terms([(-11, 4), (50_000, -9), (174_911, 7)])
+        for big in (5, 2 ** 70):
+            two = LaurentPoly.from_json_dict(
+                {"variable": "A", "terms": [[30_000, "-3"], [0, str(big)]]})
+            assert two.step == 30_000 and len(two.coeffs) == 2 and two._nz is None
+            for x, y in ((two, three), (three, two)):
+                p = carried(x * y)
+                check(p, ref_mul(ref(x), ref(y)))
+                assert p._nz is not None
+
+    def test_dense_factor_times_two_far_terms(self, monkeypatch):
+        no_convolve(monkeypatch)
+        dense = _make(-7, np.arange(200_000, dtype=np.int64) % 7 - 9)
+        two = LaurentPoly.from_terms([(0, 3), (300_000, -2)])
+        assert two._nz is not None
+        first = dense * two
+        check(first, ref_mul(ref(dense), ref(two)))
+        for p in (two * dense, dense * dropped(two), dropped(two) * dense):
+            assert p == first and p.coeffs.dtype == first.coeffs.dtype
 
 
 class TestSparseCasesCostTheirTerms:
@@ -809,8 +876,13 @@ class TestSparseCasesCostTheirTerms:
         assert calls.count("_residue_sums") == 60
         calls.clear()
         # Five terms over a span too short to carry take the sparse product
-        # on a scanned support.
+        # on a scanned support, one scan per factor that carries none.
         a = LaurentPoly.from_terms(ring_terms(rng, 1500))
-        assert a._nz is None
-        a * LaurentPoly.from_terms(ring_terms(rng, 1600))
+        b = LaurentPoly.from_terms(ring_terms(rng, 1600))
+        c = LaurentPoly.from_terms(ring_terms(rng, 10 ** 5))
+        assert a._nz is None and b._nz is None and c._nz is not None
+        a * b
+        assert calls == ["_support", "_support"]
+        calls.clear()
+        a * c
         assert calls == ["_support"]

@@ -501,7 +501,7 @@ class TestMomentColumns:
                         calls, x = self.columns(monkeypatch, num, k, m)
                         assert calls == [dtype] and x.dtype == dtype, (m, k, bits, mirrored)
 
-    def test_mass_past_the_lift_range_sums_python_ints(self, monkeypatch):
+    def test_mass_past_2_62_sums_python_ints(self, monkeypatch):
         # Every mass from 2^62 on takes the Python-int sums.  With
         # qmax = top + 1 = 2^b, mass = (4 + coeff) 2^(k b), and the column
         # coeff top^k nears 2^62 at the edge.
