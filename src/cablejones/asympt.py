@@ -261,8 +261,8 @@ def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
     body, shift = e, 0  # a twist shifts J and keeps its coefficients
     while isinstance(body, Twist):
         body, shift = body.child, shift + body.f * (n * n - 1)
-    memo = {}  # holds num even past the memo's size limit, for the value step
-    num = memo[body, colors] = colored_numerator(body, colors, memo)
+    memo = {}
+    num = colored_numerator(body, colors, memo)
     if not len(num.exps):
         raise VanishingInvariant(f"invariant vanishes identically at N={n}")
     # J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the

@@ -72,8 +72,7 @@ c_l c_r, so they stay within sum |N_l| * sum |N_r| and take their dtype
 from that.  Exponents are int64 exactly when each |exponent| is below 2^62.
 
 Results are memoized per computation on (subtree, color vector) as
-numerators; one with more than MEMO_SPAN_LIMIT stored terms is recomputed
-on a repeat query instead of being cached.
+numerators.
 """
 
 from __future__ import annotations
@@ -108,13 +107,9 @@ from .trinomial import trinomial_table
 
 __all__ = [
     "DeferredRatio",
-    "MEMO_SPAN_LIMIT",
     "colored_jones",
     "normalized_jones",
 ]
-
-MEMO_SPAN_LIMIT = 1 << 20
-
 
 @dataclass(frozen=True)
 class DeferredRatio:
@@ -187,8 +182,7 @@ def _jones(e: LinkExpr, colors: tuple[int, ...], memo: dict) -> _Numerator:
     else:
         raise TypeError(f"not a link expression: {e!r}")
 
-    if len(result.exps) <= MEMO_SPAN_LIMIT:
-        memo[key] = result
+    memo[key] = result
     return result
 
 

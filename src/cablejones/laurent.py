@@ -22,11 +22,12 @@ The step is a lattice that contains the support, not necessarily the
 coarsest one: each operation derives the step of its result from the steps
 of its operands (a gcd), never by scanning coefficients, and a polynomial
 with at most one term fits every lattice.  The quantum integer [n] lives on
-step 4, and so does everything the cabling engine builds from it, because
-cabling shifts differ by multiples of 4: the engine stores and adds a
-quarter of the entries a dense array would.  Values built from explicit
-terms start on step 1; a value read back from JSON takes the gcd of its
-exponent differences as its step.
+step 4, and so do the dense J that jones.colored_jones materializes from
+the engine's sparse numerator and a connected sum's product buffer, whose
+exponents differ by multiples of 4: each stores a quarter of the entries a
+dense array would.  Values built from explicit terms start on step 1; a
+value read back from JSON takes the gcd of its exponent differences as its
+step.
 
 The engine's values are nearly contiguous on their lattice, but a value
 built from a few terms far apart is not.  Such a value also carries its
@@ -90,9 +91,6 @@ __all__ = [
 # Every int64 intermediate is proved to stay below this in absolute value;
 # coefficients at or above it live in dtype=object arrays.
 _INT64_BOUND = 1 << 62
-
-# Trimming scans this many entries at a time inward from each end.
-_SCAN = 4096
 
 # A product calls the sparse kernel when its convolution would cost more
 # multiply-adds than the kernel, with the Python overhead of a term, or of
@@ -226,8 +224,15 @@ def _exact_value(columns: np.ndarray, n: int) -> complex:
 
     The columns become their coordinates in a Z-basis of Z[A0] (see
     _integral_basis), which are all 0 exactly when the sum is, and one dot
-    with the basis values finishes.  The first basis value is A0^0 = 1 and
-    +0 + -0 = +0, so zero coordinates give 0j with no sign.  Every
+    with the basis values gives the value.  As A0^(2n) = -1, the columns
+    also fold to columns[r] - columns[r + 2n] for r < 2n, whose dot with
+    A0^r is the same value.  A dot's rounding bound grows with the sum of
+    the |integers| it takes, so the fold's dot is taken when that sum is
+    the smaller one.  When 4n has an odd prime factor the coordinates are
+    often the larger, and their dot loses digits; but a zero value has zero
+    coordinates, and stays 0j, and a value with few small coordinates stays
+    exact (1 + Phi_12 at A0(3) is 1).  The first basis value is A0^0 = 1
+    and +0 + -0 = +0, so zero coordinates give 0j with no sign.  Every
     intermediate is a +-1 sum of distinct columns, so int64 columns with
     sum |columns| below 2^62 do not overflow.
     """
@@ -236,6 +241,12 @@ def _exact_value(columns: np.ndarray, n: int) -> complex:
     for before, p, after in steps:
         t = t.reshape(before, p, after)
         t = t[:, :p - 1] - t[:, p - 1:]
+    if len(steps) > 1:  # for n a power of two the coordinates are the fold
+        fold = columns[:2 * n] - columns[2 * n:]
+        # Float sums: a column counts in many coordinates, so an int64 sum
+        # of |t| could wrap.
+        if np.abs(fold).sum(dtype=float) < np.abs(t).sum(dtype=float):
+            return complex(np.dot(fold, _doubled_powers(n)[:2 * n]))
     return complex(np.dot(t.reshape(-1), basis))
 
 
@@ -259,30 +270,16 @@ def _support(arr: np.ndarray) -> np.ndarray:
 def _nonzero_range(arr: np.ndarray) -> tuple[int, int]:
     """(lo, hi) such that arr[lo:hi] runs from the first to the last nonzero.
 
-    Scans windows inward from each end; sums of cable terms carry nonzero
-    extreme terms, so a wide array is normally touched in two windows.
+    Arrays trimmed here nearly always end in nonzeros, which the first test
+    takes; any other costs one scan.
     """
     n = len(arr)
     if n and arr[0] and arr[-1]:
         return 0, n
-    lo = 0
-    while lo < n:
-        nz = _support(arr[lo: lo + _SCAN])
-        if len(nz):
-            if lo + _SCAN >= n:
-                return lo + int(nz[0]), lo + int(nz[-1]) + 1
-            lo += int(nz[0])
-            break
-        lo += _SCAN
-    else:
+    nz = _support(arr)
+    if not len(nz):
         return 0, 0
-    hi = n
-    while True:
-        start = max(lo, hi - _SCAN)
-        nz = _support(arr[start: hi])
-        if len(nz):
-            return lo, start + int(nz[-1]) + 1
-        hi = start
+    return int(nz[0]), int(nz[-1]) + 1
 
 
 def _wrap(val: int, arr: np.ndarray, bound: int, step: int,

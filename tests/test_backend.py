@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from cablejones import jones, laurent
+from cablejones import laurent
 from cablejones.asympt import growth_table
 from cablejones.jones import colored_jones
 from cablejones.laurent import (
@@ -574,15 +574,11 @@ class TestStridedStorage:
         # Built from terms, the same value stays on step 1.
         assert LaurentPoly.from_terms(cable.support()).step == 1
 
-    def test_memo_limits_the_numerator_terms(self, monkeypatch):
+    def test_memo_keeps_the_numerator(self):
         # The memo holds numerators J (A^2 - A^-2); [5] becomes A^10 - A^-10,
         # two terms, where J itself has 5 entries and an exponent span of 17.
         q = quantum_integer(5)
-        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 1)
         memo = {}
-        assert colored_jones(Unknot(), (5,), memo) == q
-        assert not memo
-        monkeypatch.setattr(jones, "MEMO_SPAN_LIMIT", 2)
         assert colored_jones(Unknot(), (5,), memo) == q
         [(key, num)] = memo.items()
         assert key == (Unknot(), (5,))
@@ -590,6 +586,38 @@ class TestStridedStorage:
         # A repeat query is served from the memo, entry for entry.
         memo[key] = num._replace(coeffs=2 * num.coeffs, bound=2)
         assert colored_jones(Unknot(), (5,), memo) == 2 * q
+
+
+class TestTrim:
+    """_make trims zero runs at either end of wide arrays in one scan."""
+
+    def test_zero_runs_at_the_ends(self, monkeypatch, rng):
+        scans = []
+        support = laurent._support
+
+        def spy(arr):
+            scans.append(len(arr))
+            return support(arr)
+
+        monkeypatch.setattr(laurent, "_support", spy)
+        for n in (5_000, 20_000, 50_000):
+            lo = rng.randint(1, n // 8)
+            hi = rng.randint(4097, n - lo - 2)
+            for low, high in ((lo, 0), (0, hi), (lo, hi), (n, 0)):
+                for scale in (1, 2 ** 70):
+                    arr = np.zeros(n, dtype=object)
+                    arr[low: n - high] = [scale * rng.randint(-3, 3)
+                                          for _ in range(n - high - low)]
+                    if low < n:
+                        arr[low] = arr[n - high - 1] = scale
+                    if scale == 1:
+                        arr = arr.astype(np.int64)
+                    expected = {-7 + 4 * i: int(c) for i, c in enumerate(arr) if c}
+                    scans.clear()
+                    p = _make(-7, arr, step=4)
+                    assert scans == [n]
+                    check(p, expected)
+                    assert p.val == (-7 + 4 * low if expected else 0)
 
 
 class TestWideEquality:

@@ -275,8 +275,19 @@ class TestLargeColors:
     """N = 512 rows, pinned from the dense path, which needs 2.4 s and
     1.1 GB for the iterated row and 120 s for the connected sum."""
 
-    def test_iterated_cable_decays_to_n_512(self):
+    def test_iterated_cable_decays_to_n_512(self, monkeypatch):
+        # The value step finds each row's root in the memo that built it, so
+        # _cable runs once a row, also at N = 512, past 2^20 terms.
+        cable, terms = jones._cable, []
+
+        def spy(e, colors, memo):
+            num = cable(e, colors, memo)
+            terms.append(len(num.exps))
+            return num
+
+        monkeypatch.setattr(jones, "_cable", spy)
         rows = growth_table(parse(ITERATED), [128, 256, 512])
+        assert len(terms) == 3 and terms[-1] > 2 ** 20
         vcs = [r.vc_value for r in rows]
         assert vcs[0] > vcs[1] > vcs[2]
         pinned = {256: (67660170, 22, 35, 5285082.562550465),
@@ -341,6 +352,23 @@ class TestExactZero:
                 assert value == pytest.approx(np.dot(s, zeta), abs=1e-9)
                 assert _exact_value(s.astype(object), m // 4) == pytest.approx(value, abs=1e-12)
                 assert (value != 0) == (abs(np.dot(s, zeta)) > 1e-9)
+
+    def test_fold_keeps_digits_the_coordinates_lose(self):
+        # At N = 105, 4N = 4 * 3 * 5 * 7 and the coordinates of random
+        # columns outweigh their fold, so the value is the fold's dot.
+        n = 105
+        columns = np.random.default_rng(5).integers(-1000, 1001, 4 * n)
+        fold = columns[:2 * n] - columns[2 * n:]
+        by_fold = complex(np.dot(fold, laurent._doubled_powers(n)[:2 * n]))
+        index, steps, basis = laurent._integral_basis(n)
+        t = columns[index]
+        for before, p, after in steps:
+            t = t.reshape(before, p, after)
+            t = t[:, :p - 1] - t[:, p - 1:]
+        by_coordinates = complex(np.dot(t.reshape(-1), basis))
+        assert np.abs(fold).sum() < np.abs(t).sum()
+        assert _exact_value(columns, n) == by_fold != by_coordinates
+        assert by_fold == pytest.approx(by_coordinates, rel=1e-13)
 
     def test_columns_fold_by_the_half_period(self, monkeypatch):
         # Q = J/[8] = 2^60 + 1 + 2^60 A^16 is 1 at A0, as A0^16 = -1.  A
