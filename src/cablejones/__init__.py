@@ -3,9 +3,15 @@
 Links built from the unknot by cabling, framing twists and connected sums
 are evaluated by an explicit cabling expansion over exact integer Laurent
 polynomials in A = q^(1/4).  Two symmetric-function oracles and a
-Kauffman-bracket state sum certify the combinatorial coefficients and the
-color-2 values, and the asymptotics module demonstrates the decay of the
-normalized invariant at A = exp(i*pi/2N).
+Kauffman bracket, summed by a Temperley-Lieb transfer over braid words,
+certify the combinatorial coefficients and the values of torus knots and of
+cables of the trefoil at colors 2 and 3, and the asymptotics module
+demonstrates the decay of the normalized invariant at A = exp(i*pi/2N).
+
+The bracket takes a braid word and a strand count,
+``kauffman_bracket(word, strands)``; ``cable_word`` builds the word of a
+chain of cables over the unknot, and more than ``bracket.MAX_STRANDS``
+strands raise ``TooManyStrands``.
 """
 
 from .asympt import (
@@ -23,13 +29,12 @@ from .asympt import (
 )
 from .bracket import (
     MonomialMatch,
-    PlanarDiagram,
-    TooManyCrossings,
-    braid_closure_diagram,
+    TooManyStrands,
+    cable_word,
     equal_up_to_monomial,
     jones_from_bracket,
     kauffman_bracket,
-    torus_closure_diagram,
+    parallel_word,
 )
 from .jones import (
     DeferredRatio,

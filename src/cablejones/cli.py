@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 computation error (error name on stderr),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -98,26 +99,25 @@ def _cmd_eval(args) -> int:
 
 def _cmd_growth(args) -> int:
     e = linkexpr.parse(args.expr)
-    records = asympt.growth_table(e, _parse_range(args.n), args.split_mult,
-                                  threads=args.threads)
-    rows = [[r.N, r.maxdeg, r.mindeg, str(r.maxabscoeff),
-             f"{r.abs_eval:.12g}",
-             "" if r.vc_value is None else f"{r.vc_value:.12g}"]
-            for r in records]
-    header = ["N", "maxdeg", "mindeg", "maxabscoeff", "abs_eval", "vc_value"]
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+    ns = _parse_range(args.n)
+    try:  # before the rows are computed, so a bad path costs nothing
+        out = (open(args.csv, "w", newline="") if args.csv
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.csv!r}: {exc.strerror}") from None
+    with out as fh:
+        records = asympt.growth_table(e, ns, args.split_mult, threads=args.threads)
+        w = csv.writer(fh, lineterminator="\r\n" if args.csv else "\n")
+        w.writerow(["N", "maxdeg", "mindeg", "maxabscoeff", "abs_eval", "vc_value"])
+        w.writerows([r.N, r.maxdeg, r.mindeg, r.maxabscoeff, f"{r.abs_eval:.12g}",
+                     "" if r.vc_value is None else f"{r.vc_value:.12g}"]
+                    for r in records)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if min(args.max_g, args.max_color, args.max_p) < 1:
+        raise ValueError("--max-g, --max-color and --max-p must be >= 1")
     suites = []
     if args.suite in ("symfun", "all"):
         suites.append(("symfun", _verify_symfun(args)))
@@ -142,21 +142,24 @@ def _verify_symfun(args) -> bool:
     return True
 
 
-_BRACKET_CASES = ((2, 3), (-2, 3), (2, 5), (3, 4), (2, 2), (2, 4))
+_TREFOIL = "cable(3,2;1;unknot)"
+_BRACKET_CASES = (
+    *(f"cable({r},{s};1;unknot)" for r, s in ((2, 3), (-2, 3), (2, 5), (3, 4), (2, 2), (2, 4))),
+    *(f"cable({r},2;1;{_TREFOIL})" for r in (1, 3, 5, 7, 13, -1)),
+    *(f"cable({r},3;1;{_TREFOIL})" for r in (2, -2, 1)))
 
 
 def _verify_bracket() -> bool:
-    for r, s in _BRACKET_CASES:
-        e = linkexpr.Cable(linkexpr.Unknot(), 1, r, s)
-        colors = (2,) * linkexpr.component_count(e)
-        engine = jones.normalized_jones(e, colors, 1)
-        oracle = bracket.jones_from_bracket(bracket.torus_closure_diagram(r, s))
-        match = bracket.equal_up_to_monomial(engine, oracle)
-        if match is None:
-            print(f"bracket mismatch at (r,s)=({r},{s})", file=sys.stderr)
+    for text in _BRACKET_CASES:
+        e = linkexpr.parse(text)
+        engine = jones.normalized_jones(e, (2,) * linkexpr.component_count(e), 1)
+        word, strands, _ = bracket.cable_word(e)
+        match = bracket.equal_up_to_monomial(
+            engine, bracket.jones_from_bracket(word, strands))
+        if match is None or match.mirrored:
+            print(f"bracket mismatch at {text}", file=sys.stderr)
             return False
-        print(f"(r,s)=({r},{s}): sign {match.sign:+d}, shift {match.shift}, "
-              f"mirrored {match.mirrored}")
+        print(f"{text}: sign {match.sign:+d}, shift {match.shift}")
     return True
 
 

@@ -22,6 +22,16 @@ i..i+g-1 in residue order, shifting later components up by g-1.  A
 connected sum joins component i of the left factor to component j of the
 right factor; the merged component keeps position i, and the remaining
 right components follow after all left components in their original order.
+
+Framing: for a knot K, cable(r,s;1;K) is the (r,s) cable relative to the
+framing the engine gives K, f_K, not to K's 0-framing.  The engine frames
+the result by r*s + s^2 * f_K, with f_K = 0 for the unknot, so
+cable(r,s;1;unknot) carries framing r*s and cable(r,s;1;cable(3,2;1;unknot))
+winds r times around the 6-framed trefoil.  As a braid closure, the cable
+is the blackboard s-parallel of K's braid word with the pattern
+(sigma_1 ... sigma_(s-1))^(r + s(f_K - w)) on the first bundle, where w is
+the writhe of K's word; ``bracket.cable_word`` builds it, and the tests
+check it against the engine.
 """
 
 from __future__ import annotations

@@ -14,11 +14,7 @@ from cablejones.asympt import (
     moderation_check,
     vanishing_order,
 )
-from cablejones.bracket import (
-    equal_up_to_monomial,
-    jones_from_bracket,
-    torus_closure_diagram,
-)
+from cablejones.bracket import cable_word, equal_up_to_monomial, jones_from_bracket
 from cablejones.jones import colored_jones, normalized_jones
 from cablejones.laurent import (
     LaurentPoly,
@@ -57,7 +53,8 @@ def test_criterion_2_bracket_oracle_agreement():
     for r, s in ((2, 3), (-2, 3), (2, 5), (3, 4), (2, 2), (2, 4)):
         e = parse(f"cable({r},{s};1;unknot)")
         engine = normalized_jones(e, (2,) * component_count(e), 1)
-        oracle = jones_from_bracket(torus_closure_diagram(r, s))
+        word, strands, _ = cable_word(e)
+        oracle = jones_from_bracket(word, strands)
         m = equal_up_to_monomial(engine, oracle)
         matches.append(((r, s), m))
     elapsed = time.perf_counter() - start

@@ -92,6 +92,17 @@ class TestGrowthCommand:
                            "abs_eval", "vc_value"]
         assert [r[0] for r in rows[1:]] == ["4", "8"]
 
+    def test_unwritable_csv_is_usage_before_any_row(self, capsys, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("rows computed before the path was opened")
+
+        monkeypatch.setattr(asympt, "growth_table", no_rows)
+        for path in ("/nonexistent/dir/x.csv", "."):
+            code, out, err = run(capsys, "growth", "--expr", "cable(2,3;1;unknot)",
+                                 "--n", "4,8", "--csv", path)
+            assert (code, out) == (2, "")
+            assert err.startswith("ValueError: cannot write") and err.count("\n") == 1
+
     def test_threads_flag_and_env(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "growth", "--expr", "unknot",
                            "--n", "2,4,8", "--threads", "2")
@@ -116,6 +127,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "bracket")
         assert code == 0
         assert "pass" in out
+        # The engine frames cable(r,s;1;unknot) by r*s: shifts are 3rs.
+        for line in ("cable(2,3;1;unknot): sign +1, shift 18",
+                     "cable(2,5;1;unknot): sign +1, shift 30",
+                     "cable(3,4;1;unknot): sign +1, shift 36",
+                     "cable(-1,2;1;cable(3,2;1;unknot)): sign +1, shift 66",
+                     "cable(1,3;1;cable(3,2;1;unknot)): sign +1, shift 171"):
+            assert line in out.splitlines()
 
 
 class TestExitCodes:
@@ -155,7 +173,10 @@ class TestExitCodes:
         for argv in (("growth", "--expr", "unknot", "--n", "2,4", "--threads", "0"),
                      ("growth", "--expr", "unknot", "--n", "2,4", "--threads", "-3"),
                      ("eval", "--expr", "unknot", "--color-all", "2", "--split-mult", "0"),
-                     ("growth", "--expr", "unknot", "--n", "2", "--split-mult", "-1")):
+                     ("growth", "--expr", "unknot", "--n", "2", "--split-mult", "-1"),
+                     ("verify", "--max-g", "0"),
+                     ("verify", "--suite", "symfun", "--max-color", "0"),
+                     ("verify", "--suite", "bracket", "--max-p", "-1")):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert "ValueError" in err
@@ -187,7 +208,7 @@ class TestExitCodes:
         (asympt.DepthExceeded, ArithmeticError),
         (asympt.InsufficientData, ValueError),
         (asympt.VanishingInvariant, ArithmeticError),
-        (bracket.TooManyCrossings, ValueError),
+        (bracket.TooManyStrands, ValueError),
     ])
     def test_computation_errors_share_one_base(self, error, base):
         exc = error("x")
