@@ -14,7 +14,10 @@ raised.  With e = M q + r, M = 4N, M_j = sum_r A0^r sum_{i<=j} C(j,i) M^i
 r^(j-i) X_i[r] over integer columns X_i[r] = sum c q^i, so each zero test is
 exact; when X_0 .. X_(z-1) are identically 0, M_j carries the factor M^z.
 At k = 1 with [N] dividing J, X_0 = 0 and the value is -sum_r X_1[r] A0^r.
-J's degrees and largest coefficient are read off Num's ends and running sums.
+This module reads no numerator itself: jones._moment_columns sums the
+columns, and one loop over them, _limit_columns, gives every value.  A
+growth row's degrees and largest coefficient of J come from
+jones._statistics, which reads them off Num's ends and running sums.
 
 The first moment that does not vanish is J's order of vanishing v at A0,
 so one pass gives j = min(v, k) and the limit of J/[N]^j.  Twists and
@@ -48,15 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jones import _abs_sum, _coefficient_sums, _top, colored_numerator
+from .jones import _moment_columns, _statistics, colored_numerator
 from .laurent import (
     ComputationError,
     LaurentPoly,
     RootOfUnityPoint,
     _doubled_powers,
-    _dtype,
     _exact_value,
-    _max_abs,
 )
 from .linkexpr import ConnSum, LinkExpr, Twist, component_count
 
@@ -95,8 +96,7 @@ class VanishingInvariant(ComputationError, ArithmeticError):
 
 
 def lhospital_limit(numerator: LaurentPoly, denominator: LaurentPoly,
-                    pt: RootOfUnityPoint,
-                    max_depth: int = MAX_LHOSPITAL_DEPTH) -> complex:
+                    pt: RootOfUnityPoint) -> complex:
     """lim_{A -> A0} numerator / denominator by repeated differentiation.
 
     At each stage where the denominator vanishes at A0 the numerator must
@@ -106,7 +106,7 @@ def lhospital_limit(numerator: LaurentPoly, denominator: LaurentPoly,
     if denominator.is_zero():
         raise ZeroDivisionError("denominator is identically zero")
     num, den = numerator, denominator
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_LHOSPITAL_DEPTH + 1):
         dv = den.eval_at_root(pt)
         if dv:
             nv = num.eval_at_root(pt)
@@ -116,20 +116,19 @@ def lhospital_limit(numerator: LaurentPoly, denominator: LaurentPoly,
                                  f"the denominator does, after {depth} derivatives")
         num = num.derivative()
         den = den.derivative()
-    raise DepthExceeded(f"at N={pt.N} still vanishing after {max_depth} derivatives")
+    raise DepthExceeded(f"at N={pt.N} still vanishing after {MAX_LHOSPITAL_DEPTH} derivatives")
 
 
-def vanishing_order(p: LaurentPoly, pt: RootOfUnityPoint,
-                    max_depth: int = MAX_LHOSPITAL_DEPTH) -> int:
+def vanishing_order(p: LaurentPoly, pt: RootOfUnityPoint) -> int:
     """Order of the zero of p at A0: derivatives taken until one survives."""
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes to every order")
     cur = p
-    for k in range(max_depth + 1):
+    for k in range(MAX_LHOSPITAL_DEPTH + 1):
         if cur.eval_at_root(pt):
             return k
         cur = cur.derivative()
-    raise DepthExceeded(f"at N={pt.N} still vanishing after {max_depth} derivatives")
+    raise DepthExceeded(f"at N={pt.N} still vanishing after {MAX_LHOSPITAL_DEPTH} derivatives")
 
 
 def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
@@ -150,29 +149,18 @@ def eval_normalized_at_root(e: LinkExpr, n: int, split_mult: int = 1,
     >>> eval_normalized_at_root(union, 3)
     0j
     """
-    return _root_value(e, n, split_mult, {} if memo is None else memo)
-
-
-def _root_value(e: LinkExpr, n: int, k: int, memo: dict) -> complex:
-    """J(e) / [n]^k at A0(n), by the module docstring's rule for the root."""
-    return _finite(*_root_limit(e, n, k, memo), n, k)
-
-
-def _value(num, n: int, k: int) -> complex:
-    """J / [n]^k at A0(n) from J's numerator, by the module docstring's moments."""
-    return _finite(*_limit(num, n, k), n, k)
-
-
-def _finite(j: int, value: complex, n: int, k: int) -> complex:
-    if j < k:
-        raise DivergentLimit(f"at N={n} J/[N]^{k} has no finite limit: "
+    if split_mult < 1:
+        raise ValueError("split_mult must be >= 1")
+    j, value = _root_limit(e, n, split_mult, {} if memo is None else memo)
+    if j < split_mult:
+        raise DivergentLimit(f"at N={n} J/[N]^{split_mult} has no finite limit: "
                              f"its theta-moment {j} does not vanish")
     return value
 
 
 def _root_limit(e: LinkExpr, n: int, k: int, memo: dict) -> tuple[int, complex]:
-    """_limit for J(e): twists and connected sums at the root are taken
-    apart, and any other node is read from its numerator (memoized)."""
+    """_limit_columns for J(e): twists and connected sums at the root are
+    taken apart, and any other node is read from its numerator (memoized)."""
     if isinstance(e, Twist):
         j, value = _root_limit(e.child, n, k, memo)
         return j, value * complex(_doubled_powers(n)[e.f * (n * n - 1) % (4 * n)]) + 0j
@@ -180,63 +168,29 @@ def _root_limit(e: LinkExpr, n: int, k: int, memo: dict) -> tuple[int, complex]:
         j, left = _root_limit(e.left, n, k, memo)
         i, right = _root_limit(e.right, n, k + 1 - j, memo)
         return j + i - 1, left * right + 0j
-    return _limit(colored_numerator(e, (n,) * component_count(e), memo), n, k)
+    num = colored_numerator(e, (n,) * component_count(e), memo)
+    return _limit_columns(_moment_columns(num, 4 * n, k if n > 1 else 1), n, k)
 
 
-def _limit(num, n: int, k: int) -> tuple[int, complex]:
+def _limit_columns(x: np.ndarray, n: int, k: int) -> tuple[int, complex]:
     """(j, lim J/[n]^j at A0(n)) for j = min(k, J's order of vanishing there),
-    from J's numerator; at n = 1, [1] = 1 and j = k."""
-    if k < 1:
-        raise ValueError("split_mult must be >= 1")
-    top, m = (k if n > 1 else 1), 4 * n
-    x = _moment_columns(num, m, top)
+    from J's moment columns x = X_0 .. X_t mod 4n (jones._moment_columns),
+    t = k; at n = 1, where [1] = 1, t = 1 and j = k."""
+    top, m = len(x) - 1, 4 * n
     z = next((i for i in range(top) if x[i].any()), top)
     for j in range(z, top + 1):
         # M_j = m^z sum_r U[r] A0^r, U = sum_{z <= i <= j} C(j, i) m^(i - z) r^(j - i) X_i
         u = x[z] if j == z else sum(
             math.comb(j, i) * m ** (i - z) * np.arange(m, dtype=object) ** (j - i) * x[i]
             for i in range(z, j + 1))
-        # Each term of num lands in one column, so sum |x[z]| keeps the bound
-        # that chose its dtype, as _exact_value requires.
+        # Each term of the numerator lands in one column, so sum |x[z]| keeps
+        # the bound that chose its dtype, as _exact_value requires.
         value = _exact_value(u, n)
         if value:
             break
     value *= (2j * math.sin(math.pi / n)) ** (j - 1)  # (A0^2 - A0^-2)^(j-1)
     value = value * (-1) ** j / (math.factorial(j) * m ** (j - z)) + 0j  # + 0j: no -0
     return (k if n == 1 and j else j), value
-
-
-_CHUNK = 1 << 18  # terms per pass of _moment_columns: temporaries of a few MB
-
-
-def _moment_columns(num, m: int, k: int) -> np.ndarray:
-    """X_i[r] = sum c q^i for i <= k, over num's terms c A^(m q + r).
-
-    The columns are int64 when len(num) B qmax^k for num's bound B, or
-    the mass sum |c| qmax^k, keeps every sum, and sum_r |X_i[r]| as
-    _exact_value needs, below 2^62; otherwise they hold Python ints.
-    """
-    exps, coeffs, bound = num
-    qmax = _top(num) // m + 1  # every |q| <= |e| // m + 1
-    dtype = _dtype(len(exps) * bound * qmax ** k)
-    if dtype is object:
-        dtype = _dtype(_abs_sum(num) * qmax ** k)
-    return _sum_columns(exps, coeffs, m, k, dtype)
-
-
-def _sum_columns(exps, coeffs, m: int, k: int, dtype) -> np.ndarray:
-    """_moment_columns' columns X summed in `dtype`."""
-    x = np.zeros((k + 1, m), dtype=dtype)
-    for start in range(0, len(exps), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        q = exps[part] // m
-        r = (exps[part] - q * m).astype(np.int64, copy=False)
-        w, q = coeffs[part].astype(dtype, copy=False), q.astype(dtype, copy=False)
-        for i in range(k + 1):
-            if i:
-                w = w * q
-            np.add.at(x[i], r, w)
-    return x
 
 
 @dataclass(frozen=True)
@@ -257,21 +211,17 @@ class GrowthRecord:
 
 
 def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
-    colors = (n,) * component_count(e)
     body, shift = e, 0  # a twist shifts J and keeps its coefficients
     while isinstance(body, Twist):
         body, shift = body.child, shift + body.f * (n * n - 1)
     memo = {}
-    num = colored_numerator(body, colors, memo)
-    if not len(num.exps):
+    stats = _statistics(colored_numerator(body, (n,) * component_count(e), memo))
+    if stats is None:
         raise VanishingInvariant(f"invariant vanishes identically at N={n}")
-    # J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the
-    # running sums of the numerator, and the last running sum is 0.
-    sums = _coefficient_sums(num.coeffs, num.bound)
-    abs_eval = abs(_root_value(e, n, split_mult, memo))
+    maxdeg, mindeg, coeff = stats
+    abs_eval = abs(eval_normalized_at_root(e, n, split_mult, memo))
     vc = (2 * math.pi / n) * math.log(abs_eval) if abs_eval > 0 else None
-    return GrowthRecord(n, int(num.exps[-1]) + shift - 2, int(num.exps[0]) + shift + 2,
-                        _max_abs(sums[:-1]), abs_eval, vc)
+    return GrowthRecord(n, maxdeg + shift, mindeg + shift, coeff, abs_eval, vc)
 
 
 def growth_table(e: LinkExpr, Ns, split_mult: int = 1,

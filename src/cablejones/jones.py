@@ -60,7 +60,11 @@ Every exponent of N lies in one class mod 4, and on the lattice lo + 4Z, J
 (from A^(lo + 2)) is minus the running sums of N, whose last one must
 vanish; colored_jones builds that dense J once, at the end, and
 colored_numerator hands N itself to callers that need only J's degrees,
-its largest coefficient or its value at a root of unity.
+its largest coefficient or its value at a root of unity.  This module is
+the one reader of a numerator's format: _statistics reads J's degrees off
+N's ends and its largest coefficient off N's running sums, and
+_moment_columns sums N's terms into the integer columns from which asympt
+takes J's value at a root of unity.
 
 Each numerator carries a proved bound B on the |coefficients| of both N and
 J: 1 for the unknot, the child's bound for a twist, the sum over m of
@@ -463,6 +467,52 @@ def _materialize(num: _Numerator) -> LaurentPoly:
     k = _lattice_indices(num)
     sums = _coefficient_sums(num.coeffs, num.bound)
     return _make(int(num.exps[0]) + 2, np.repeat(-sums[:-1], np.diff(k)), num.bound, 4)
+
+
+def _statistics(num: _Numerator) -> tuple[int, int, int] | None:
+    """J's (maxdeg, mindeg, largest |coefficient|), read as _materialize
+    would build J, without building it; None when J = 0.
+
+    J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the
+    running sums of N, and the last running sum is 0.
+    """
+    if not len(num.exps):
+        return None
+    sums = _coefficient_sums(num.coeffs, num.bound)
+    return int(num.exps[-1]) - 2, int(num.exps[0]) + 2, _max_abs(sums[:-1])
+
+
+_CHUNK = 1 << 18  # terms per pass of _moment_columns: temporaries of a few MB
+
+
+def _moment_columns(num: _Numerator, m: int, k: int) -> np.ndarray:
+    """X_i[r] = sum c q^i for i <= k, over num's terms c A^(m q + r).
+
+    The columns are int64 when len(num) B qmax^k for num's bound B, or
+    the mass sum |c| qmax^k, keeps every sum, and sum_r |X_i[r]| as
+    laurent._exact_value needs, below 2^62; otherwise they hold Python ints.
+    """
+    exps, coeffs, bound = num
+    qmax = _top(num) // m + 1  # every |q| <= |e| // m + 1
+    dtype = _dtype(len(exps) * bound * qmax ** k)
+    if dtype is object:
+        dtype = _dtype(_abs_sum(num) * qmax ** k)
+    return _sum_columns(exps, coeffs, m, k, dtype)
+
+
+def _sum_columns(exps, coeffs, m: int, k: int, dtype) -> np.ndarray:
+    """_moment_columns' columns X summed in `dtype`."""
+    x = np.zeros((k + 1, m), dtype=dtype)
+    for start in range(0, len(exps), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        q = exps[part] // m
+        r = (exps[part] - q * m).astype(np.int64, copy=False)
+        w, q = coeffs[part].astype(dtype, copy=False), q.astype(dtype, copy=False)
+        for i in range(k + 1):
+            if i:
+                w = w * q
+            np.add.at(x[i], r, w)
+    return x
 
 
 def _connsum(e: ConnSum, colors: tuple[int, ...], memo: dict) -> _Numerator:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cablejones import asympt, bracket
+from cablejones import asympt, bracket, jones
 from cablejones.cli import main
 from cablejones.laurent import ComputationError, LaurentPoly, NotDivisible
 
@@ -118,8 +118,7 @@ class TestGrowthCommand:
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "symfun",
-                           "--max-g", "2", "--max-color", "3", "--max-p", "2")
+        code, out, _ = run(capsys, "verify", "--suite", "symfun")
         assert code == 0
         assert "symfun  pass" in out
 
@@ -174,12 +173,29 @@ class TestExitCodes:
                      ("growth", "--expr", "unknot", "--n", "2,4", "--threads", "-3"),
                      ("eval", "--expr", "unknot", "--color-all", "2", "--split-mult", "0"),
                      ("growth", "--expr", "unknot", "--n", "2", "--split-mult", "-1"),
-                     ("verify", "--max-g", "0"),
-                     ("verify", "--suite", "symfun", "--max-color", "0"),
-                     ("verify", "--suite", "bracket", "--max-p", "-1")):
+                     ("jones", "--expr", "unknot", "--colors", "2", "--normalized",
+                      "--split-mult", "0")):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert "ValueError" in err
+
+    def test_split_mult_without_normalized_is_usage(self, capsys):
+        # J itself takes no split multiplicity, not even the default one.
+        for k in ("5", "1", "0"):
+            code, out, err = run(capsys, "jones", "--expr", "cable(2,3;1;unknot)",
+                                 "--colors", "2", "--split-mult", k)
+            assert (code, out) == (2, "")
+            assert err == "ValueError: --split-mult needs --normalized\n"
+
+    def test_out_of_memory_is_computation_error(self, capsys, monkeypatch):
+        # As numpy fails on a table of 10^11 entries, allocating nothing here.
+        def fail(colors):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr(jones, "trinomial_table", fail)
+        code, out, err = run(capsys, "jones", "--expr", "cable(2,3;1;unknot)",
+                             "--colors", "100000000000")
+        assert (code, out) == (1, "")
+        assert err == "MemoryError: Unable to allocate 745. GiB for an array\n"
 
     def test_divergent_limit_is_computation_error(self, capsys):
         code, _, err = run(capsys, "eval", "--expr", "cable(0,2;1;unknot)",

@@ -38,7 +38,16 @@ from cablejones.laurent import (
     divide_by_quantum_integer,
     quantum_integer,
 )
-from cablejones.linkexpr import component_count, mirror_expr, parse
+from cablejones.linkexpr import (
+    Cable,
+    ConnSum,
+    Twist,
+    Unknot,
+    cable_gcd,
+    component_count,
+    mirror_expr,
+    parse,
+)
 
 ITERATED = "cable(2,13;1;cable(2,3;1;unknot))"
 T23_T25 = "connsum(cable(2,3;1;unknot),1;cable(2,5;1;unknot),1)"
@@ -72,6 +81,14 @@ def agree(e, ns, split_mult: int = 1):
 
 
 NS = (1, 2, 3, 5, 8, 16)
+
+
+def whole_value(num, n: int, k: int) -> complex:
+    """J/[n]^k at A0(n) read from J's numerator num as one leaf, without
+    taking a root twist or connected sum apart: num stands in the memo for
+    the unknot colored n."""
+    unknot = parse("unknot")
+    return eval_normalized_at_root(unknot, n, k, {(unknot, (n,)): num})
 
 
 def patch_numerator(monkeypatch, exps, coeffs, bound):
@@ -122,7 +139,7 @@ class TestAgainstTheDenseReferee:
             e = parse(text)
             num = colored_numerator(e, (1,) * component_count(e))
             for k in range(1, 5):
-                assert asympt._value(num, 1, k) == asympt._value(num, 1, 1), (text, k)
+                assert whole_value(num, 1, k) == whole_value(num, 1, 1), (text, k)
 
     def test_eval_matches_the_dense_referee(self):
         for text in (ITERATED, T23_T25, "cable(2,4;1;unknot)"):
@@ -183,7 +200,7 @@ class TestMomentsAgainstTheLimit:
         for n in (7, 64, 512):
             left = eval_normalized_at_root(parse("cable(2,3;1;unknot)"), n)
             right = eval_normalized_at_root(parse("cable(2,5;1;unknot)"), n)
-            whole = asympt._value(colored_numerator(e, (n,)), n, 1)
+            whole = whole_value(colored_numerator(e, (n,)), n, 1)
             assert whole == pytest.approx(left * right, rel=1e-12)
 
     def test_value_path_builds_no_dense_j(self, monkeypatch):
@@ -202,6 +219,83 @@ class TestMomentsAgainstTheLimit:
         for text, n, k in cases:
             e = parse(text)
             assert abs(eval_normalized_at_root(e, n, k)) == growth_table(e, [n], k)[0].abs_eval
+
+
+def shapes(e, root=True, under_cable=False) -> set[str]:
+    """The shapes among e's nodes that the random-tree referee must reach."""
+    found = set()
+    if isinstance(e, Cable):
+        if e.r and cable_gcd(e.r, e.s) > 1:
+            found.add("cable with g > 1")
+        if e.r < 0:
+            found.add("cable with r < 0")
+        if e.r == 0 and e.s > 1:
+            found.add("split union")
+    if isinstance(e, Twist) and under_cable:
+        found.add("twist below a cable")
+    if isinstance(e, ConnSum) and (root or under_cable):
+        found.add("connected sum at the root" if root else "connected sum below a cable")
+    children = ((e.left, e.right) if isinstance(e, ConnSum)
+                else () if isinstance(e, Unknot) else (e.child,))
+    for child in children:
+        found |= shapes(child, False, under_cable or isinstance(e, Cable))
+    return found
+
+
+def random_tree(rng, depth: int = 3):
+    """A random tree of at most 3 components.  Each node is alike likely the
+    unknot, a split union cable(0,s), a cable (g > 1 and r < 0 included), a
+    twist or a connected sum; a node past 3 components becomes the unknot.
+
+    Unlike conftest.random_expr, a split union is a leaf of its own, so
+    connected sums of two split unions, where a wrong split multiplicity for
+    the right factor changes the value, come up in a few hundred trees.
+    """
+    leaves = ("unknot", "split union")
+    kind = rng.choice(leaves + ("cable", "twist", "connsum") if depth else leaves)
+    if kind == "split union":
+        return Cable(Unknot(), 1, 0, rng.randint(2, 3))
+    if kind == "unknot":
+        return Unknot()
+    child = random_tree(rng, depth - 1)
+    c = component_count(child)
+    if kind == "cable":
+        e = Cable(child, rng.randint(1, c), rng.randint(-3, 3), rng.randint(1, 3))
+    elif kind == "twist":
+        e = Twist(child, rng.randint(1, c), rng.randint(-3, 3))
+    else:
+        right = random_tree(rng, depth - 1)
+        e = ConnSum(child, rng.randint(1, c), right, rng.randint(1, component_count(right)))
+    return e if component_count(e) <= 3 else Unknot()
+
+
+class TestRandomTrees:
+    def test_rows_and_values_against_the_dense_referee(self, rng):
+        # Each tree at one N <= 6: its growth row against the dense J, and
+        # its value at k = 1, 2 against the l'Hospital limit of J / [N]^k,
+        # both raising DivergentLimit or neither.
+        seen = set()
+        for _ in range(200):
+            e = random_tree(rng)
+            seen |= shapes(e)
+            n = rng.randint(1, 6)
+            J = colored_jones(e, (n,) * component_count(e))
+            [row] = growth_table(e, [n])
+            assert (row.maxdeg, row.mindeg, row.maxabscoeff) == \
+                (J.maxdeg, J.mindeg, J.max_abs_coeff()), (str(e), n)
+            for k in (1, 2):
+                expected = outcome(lambda: lhospital_limit(J, quantum_integer(n) ** k,
+                                                           RootOfUnityPoint(n)))
+                value = outcome(lambda: eval_normalized_at_root(e, n, k))
+                if isinstance(expected, type) or isinstance(value, type):
+                    assert value is expected, (str(e), n, k)
+                else:
+                    assert value == pytest.approx(expected, rel=1e-12, abs=0), (str(e), n, k)
+                if k == 1:
+                    assert row.abs_eval == abs(value)
+        assert seen == {"cable with g > 1", "cable with r < 0", "split union",
+                        "twist below a cable", "connected sum below a cable",
+                        "connected sum at the root"}
 
 
 # Connected sums of knots, split unlinks and a nested connected sum, each
@@ -225,7 +319,7 @@ class TestRootRule:
                 for n in NS:
                     num = colored_numerator(e, (n,) * component_count(e))
                     for k in range(1, 5):
-                        expected = outcome(lambda: asympt._value(num, n, k))
+                        expected = outcome(lambda: whole_value(num, n, k))
                         value = outcome(lambda: eval_normalized_at_root(e, n, k))
                         if isinstance(expected, type):
                             assert value is expected, (str(e), n, k)
@@ -437,7 +531,7 @@ class TestGuards:
         [row] = growth_table(parse("unknot"), [4])
         expected = lhospital_limit(J, quantum_integer(4), RootOfUnityPoint(4))
         # J(A0) = 0, so the first theta-moment decides: the limit is 1/sqrt(2).
-        assert asympt._value(num, 4, 1) == pytest.approx(expected, rel=1e-12)
+        assert whole_value(num, 4, 1) == pytest.approx(expected, rel=1e-12)
         assert abs(expected) == pytest.approx(2 ** -0.5, rel=1e-12)
         assert row.abs_eval == pytest.approx(abs(expected), rel=1e-12)
         assert (row.mindeg, row.maxdeg, row.maxabscoeff) == (-4, 4, 1)
@@ -458,7 +552,7 @@ class TestGuards:
         # J(A0) = -2^61 * 8 A0^-2 = 2^64 i, where [2] vanishes.
         assert J.eval_at_root(RootOfUnityPoint(n)) == pytest.approx(2 ** 64 * 1j, rel=1e-12)
         with pytest.raises(DivergentLimit, match="N=2 .* theta-moment 0 "):
-            asympt._value(num, n, 1)
+            whole_value(num, n, 1)
         with pytest.raises(DivergentLimit):
             growth_table(parse("unknot"), [n])
 
@@ -471,13 +565,13 @@ class TestMomentColumns:
     @staticmethod
     def columns(monkeypatch, num, k, m=16):
         calls = []
-        sum_columns = asympt._sum_columns
+        sum_columns = jones._sum_columns
 
         def spy(exps, coeffs, m, k, dtype):
             calls.append(dtype)
             return sum_columns(exps, coeffs, m, k, dtype)
-        monkeypatch.setattr(asympt, "_sum_columns", spy)
-        x = asympt._moment_columns(num, m, k)
+        monkeypatch.setattr(jones, "_sum_columns", spy)
+        x = jones._moment_columns(num, m, k)
         sums = {}
         for e, c in zip(num.exps.tolist(), num.coeffs.tolist()):
             q, r = divmod(e, m)
@@ -566,14 +660,14 @@ class TestMomentColumns:
         e = parse(f"connsum(cable(0,4;1;unknot),1;{ITERATED},1)")
         for n in (16, 32, 128):
             calls = []
-            sum_columns = asympt._sum_columns
+            sum_columns = jones._sum_columns
             with monkeypatch.context() as mp:
-                mp.setattr(asympt, "_sum_columns",
+                mp.setattr(jones, "_sum_columns",
                            lambda *a: calls.append(a[4]) or sum_columns(*a))
                 value = eval_normalized_at_root(e, n, 4)
             assert set(calls) == {np.int64}, n
             if n < 128:
-                whole = asympt._value(colored_numerator(e, (n,) * 4), n, 4)
+                whole = whole_value(colored_numerator(e, (n,) * 4), n, 4)
             else:  # the whole numerator's value, 1 s to recompute
                 whole = 1667454.9606722656 - 563759.5818823582j
             assert value == pytest.approx(whole, rel=1e-12)
