@@ -12,6 +12,10 @@ The bracket takes a braid word and a strand count,
 ``kauffman_bracket(word, strands)``; ``cable_word`` builds the word of a
 chain of cables over the unknot, and more than ``bracket.MAX_STRANDS``
 strands raise ``TooManyStrands``.
+
+No error reports a vanishing invariant: at A = 1 the invariant is the
+product of the colors, so it is never zero, and the error class that growth
+tables once raised for a zero invariant has been removed from the API.
 """
 
 from .asympt import (
@@ -20,7 +24,6 @@ from .asympt import (
     GrowthRecord,
     InsufficientData,
     ModerationReport,
-    VanishingInvariant,
     eval_normalized_at_root,
     growth_table,
     lhospital_limit,

@@ -67,7 +67,6 @@ __all__ = [
     "GrowthRecord",
     "InsufficientData",
     "ModerationReport",
-    "VanishingInvariant",
     "eval_normalized_at_root",
     "growth_table",
     "lhospital_limit",
@@ -88,11 +87,6 @@ class DepthExceeded(ComputationError, ArithmeticError):
 
 class InsufficientData(ComputationError, ValueError):
     """Too few growth records to fit anything."""
-
-
-class VanishingInvariant(ComputationError, ArithmeticError):
-    """The colored Jones polynomial came out identically zero, so a growth
-    record has no degrees, coefficients or decay rate to report."""
 
 
 def lhospital_limit(numerator: LaurentPoly, denominator: LaurentPoly,
@@ -215,10 +209,8 @@ def _growth_record(e: LinkExpr, n: int, split_mult: int) -> GrowthRecord:
     while isinstance(body, Twist):
         body, shift = body.child, shift + body.f * (n * n - 1)
     memo = {}
-    stats = _statistics(colored_numerator(body, (n,) * component_count(e), memo))
-    if stats is None:
-        raise VanishingInvariant(f"invariant vanishes identically at N={n}")
-    maxdeg, mindeg, coeff = stats
+    maxdeg, mindeg, coeff = _statistics(
+        colored_numerator(body, (n,) * component_count(e), memo))
     abs_eval = abs(eval_normalized_at_root(e, n, split_mult, memo))
     vc = (2 * math.pi / n) * math.log(abs_eval) if abs_eval > 0 else None
     return GrowthRecord(n, maxdeg + shift, mindeg + shift, coeff, abs_eval, vc)

@@ -9,7 +9,8 @@ Subcommands:
   verify     run the self-check suites (symfun, bracket)
 
 Exit codes: 0 success, 1 computation error or out of memory (error name on
-stderr), 2 usage error.  ``verify`` exits 0 only if every selected suite passes.
+stderr) or an output pipe closed by its reader, 2 usage error.  ``verify``
+exits 0 only if every selected suite passes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from itertools import product as iter_product
 
@@ -44,7 +46,7 @@ def _parse_range(text: str) -> list[int]:
         if len(parts) != 3 or not parts[2].startswith("x"):
             raise ValueError(f"bad range {text!r}; expected a:b:x2")
         a, b, k = int(parts[0]), int(parts[1]), int(parts[2][1:])
-        if a < 2 or b < a or k < 2:
+        if a < 1 or b < a or k < 2:
             raise ValueError(f"bad range {text!r}")
         out = []
         n = a
@@ -212,7 +214,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # As the note on SIGPIPE in Python's signal docs: what is still
+        # buffered goes to devnull, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ComputationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

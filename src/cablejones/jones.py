@@ -75,6 +75,10 @@ otherwise; a connected sum's product and division add distinct products
 c_l c_r, so they stay within sum |N_l| * sum |N_r| and take their dtype
 from that.  Exponents are int64 exactly when each |exponent| is below 2^62.
 
+At A = 1 every power of A is 1, a trinomial table sums to its block's
+product of colors, and a connected sum gives (n a)(n b) / n, so J(1) is the
+product of the colors: no numerator is empty.
+
 Results are memoized per computation on (subtree, color vector) as
 numerators.
 """
@@ -136,7 +140,6 @@ class _Numerator(NamedTuple):
     bound: int
 
 
-_ZERO = _Numerator(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0)
 _UNKNOT_COEFFS = np.array([-1, 1], dtype=np.int64)
 _UNKNOT_COEFFS.setflags(write=False)  # shared by every unknot numerator
 
@@ -144,7 +147,7 @@ _UNKNOT_COEFFS.setflags(write=False)  # shared by every unknot numerator
 def colored_numerator(e: LinkExpr, colors, memo: dict | None = None) -> _Numerator:
     """The numerator N = J (A^2 - A^-2) of colored_jones(e, colors), sparse.
 
-    Same arguments as :func:`colored_jones`; the zero invariant has no terms.
+    Same arguments as :func:`colored_jones`.
     """
     colors = tuple(colors)
     validate_colors(e, colors)
@@ -191,9 +194,7 @@ def _jones(e: LinkExpr, colors: tuple[int, ...], memo: dict) -> _Numerator:
 
 
 def _top(num: _Numerator) -> int:
-    """The largest |exponent| of num; 0 when num is zero."""
-    if not len(num.exps):
-        return 0
+    """The largest |exponent| of num."""
     return max(-int(num.exps[0]), int(num.exps[-1]))
 
 
@@ -230,13 +231,9 @@ def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
         if j == 0:
             continue
         child = _jones(e.child, prefix + (abs(j),) + suffix, memo)
-        if not len(child.exps):
-            continue
         terms.append((rg * m * (m * p + 2), c if j > 0 else -c, child))
         bound += c * child.bound
         top = max(top, _top(child))
-    if not terms:
-        return _ZERO
     edtype, cdtype = _dtype(reach + top), _dtype(bound)
     exps = [child.exps.astype(edtype, copy=False) + shift
             for shift, _, child in terms]
@@ -435,11 +432,15 @@ def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int,
 
 
 def _lattice_indices(num: _Numerator) -> np.ndarray:
-    """The exponents of a nonzero numerator as indices k on the lattice
-    lo + 4Z; NotDivisible when they lie in more than one class mod 4."""
+    """The exponents of a numerator as indices k on the lattice lo + 4Z;
+    NotDivisible when they lie in more than one class mod 4, MemoryError
+    when the last index does not fit int64."""
     offsets = num.exps - num.exps[0]
     if (offsets % 4).any():
         raise NotDivisible("numerator exponents lie in more than one class mod 4")
+    if int(offsets[-1]) // 4 > _KEY_MAX:
+        raise MemoryError(f"a numerator spanning {int(offsets[-1])} exponents "
+                          "has more lattice steps than int64 holds")
     return (offsets // 4).astype(np.int64, copy=False)
 
 
@@ -462,22 +463,18 @@ def _materialize(num: _Numerator) -> LaurentPoly:
     of J, within the bound.  N is divisible exactly when its exponents lie in
     one class mod 4 and the last running sum is 0.
     """
-    if not len(num.exps):
-        return LaurentPoly.zero()
     k = _lattice_indices(num)
     sums = _coefficient_sums(num.coeffs, num.bound)
     return _make(int(num.exps[0]) + 2, np.repeat(-sums[:-1], np.diff(k)), num.bound, 4)
 
 
-def _statistics(num: _Numerator) -> tuple[int, int, int] | None:
+def _statistics(num: _Numerator) -> tuple[int, int, int]:
     """J's (maxdeg, mindeg, largest |coefficient|), read as _materialize
-    would build J, without building it; None when J = 0.
+    would build J, without building it.
 
     J runs from A^(lo + 2) to A^(hi - 2), its coefficients are minus the
     running sums of N, and the last running sum is 0.
     """
-    if not len(num.exps):
-        return None
     sums = _coefficient_sums(num.coeffs, num.bound)
     return int(num.exps[-1]) - 2, int(num.exps[0]) + 2, _max_abs(sums[:-1])
 
@@ -523,8 +520,6 @@ def _connsum(e: ConnSum, colors: tuple[int, ...], memo: dict) -> _Numerator:
     right_colors = tail[:e.j - 1] + (n,) + tail[e.j - 1:]
     left = _jones(e.left, left_colors, memo)
     right = _jones(e.right, right_colors, memo)
-    if not len(left.exps) or not len(right.exps):
-        return _ZERO
     # N_l N_r on the lattice lo + 4Z, then divided by A^(2n) - A^(-2n) =
     # A^(-2n) (x^n - 1) with x = A^4.  Each partial sum of the product and
     # each running sum of the division adds distinct products c_l c_r, so

@@ -340,11 +340,6 @@ def _spread(arr: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _on(p: "LaurentPoly", step: int) -> np.ndarray:
-    """p's coefficients on the finer lattice `step`, which divides p's."""
-    return _spread(p.coeffs, p.step // step) if p.step != step else p.coeffs
-
-
 def _terms(p: "LaurentPoly", arr: np.ndarray, step: int) -> np.ndarray:
     """The ascending indices of p's terms in arr, p's coefficients on the
     lattice `step`, which divides p's: its carried support, or one scan."""
@@ -361,7 +356,7 @@ def _common(a: "LaurentPoly", b: "LaurentPoly", offset: int = 0):
     if b.step == s and not offset % s:
         return s, a.coeffs, b.coeffs
     s = math.gcd(_lattice(a), _lattice(b), offset) or s
-    return s, _on(a, s), _on(b, s)
+    return s, _spread(a.coeffs, a.step // s), _spread(b.coeffs, b.step // s)
 
 
 def _add_shifted(out: np.ndarray, offsets: list, coeffs: list, y: np.ndarray):
@@ -898,7 +893,7 @@ def divide_by_quantum_integer(a: LaurentPoly, n: int) -> LaurentPoly:
     # quotient.  num = a * (A^2 - A^-2) starts at A^(val - 2); A^2 is 4/g
     # entries above A^-2.  With x = A^g, num = A^(-2n) (x^(4n/g) - 1) q.
     g = math.gcd(_lattice(a), 4)
-    arr = _on(a, g)
+    arr = _spread(a.coeffs, a.step // g)
     shift = 4 // g
     width = 4 * n // g
     span = len(arr) + shift

@@ -5,7 +5,6 @@ from cablejones.asympt import (
     DivergentLimit,
     GrowthRecord,
     InsufficientData,
-    VanishingInvariant,
     eval_normalized_at_root,
     growth_table,
     lhospital_limit,
@@ -162,15 +161,6 @@ class TestGrowthTable:
             growth_table(parse("unknot"), [8, 8], 1)
         with pytest.raises(ValueError):
             growth_table(parse("unknot"), [], 1)
-
-    def test_vanishing_invariant_is_a_computation_error(self, monkeypatch):
-        import cablejones.asympt as asympt
-        from cablejones.jones import _ZERO
-        monkeypatch.setattr(asympt, "colored_numerator",
-                            lambda e, colors, memo=None: _ZERO)
-        with pytest.raises(VanishingInvariant, match="N=4"):
-            growth_table(parse("unknot"), [4], 1)
-        assert not issubclass(VanishingInvariant, ValueError)
 
 
 class TestModeration:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,11 @@ class TestGrowthCommand:
         assert lines[0] == "N,maxdeg,mindeg,maxabscoeff,abs_eval,vc_value"
         assert len(lines) == 4
         assert lines[1].startswith("2,2,-2,1,")
+
+    def test_sweep_from_one(self, capsys):
+        code, out, _ = run(capsys, "growth", "--expr", "unknot", "--n", "1:4:x2")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1", "2", "4"]
 
     def test_csv_file(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
@@ -165,8 +171,9 @@ class TestExitCodes:
         assert error in err and "Traceback" not in err
 
     def test_bad_range_is_usage(self, capsys):
-        code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", "8:4:x2")
-        assert code == 2
+        for sweep in ("8:4:x2", "0:4:x2", "2:8:x1"):
+            code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", sweep)
+            assert code == 2 and f"bad range '{sweep}'" in err
 
     def test_counts_below_one_are_usage(self, capsys):
         for argv in (("growth", "--expr", "unknot", "--n", "2,4", "--threads", "0"),
@@ -203,14 +210,46 @@ class TestExitCodes:
         assert code == 1
         assert "DivergentLimit" in err
 
-    def test_vanishing_invariant_is_computation_error(self, capsys, monkeypatch):
-        import cablejones.asympt as asympt
-        from cablejones.jones import _ZERO
-        monkeypatch.setattr(asympt, "colored_numerator",
-                            lambda e, colors, memo=None: _ZERO)
-        code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", "2,4")
-        assert code == 1
-        assert "VanishingInvariant" in err
+    def test_lattice_past_int64_is_out_of_memory(self, capsys):
+        # A twist of 2^70 spreads the numerator over more than 2^63 steps of
+        # A^4: J and a connected sum above it are refused, while the value
+        # and the growth row, which need no lattice indices, still come out.
+        knot = "cable(2,3;1;twist(1180591620717411303424;1;cable(2,5;1;unknot)))"
+        for argv in (("jones", "--expr", knot, "--colors", "16"),
+                     ("growth", "--expr", f"connsum({knot},1;cable(2,3;1;unknot),1)",
+                      "--n", "4")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("MemoryError: a numerator spanning ")
+            assert err.count("\n") == 1
+        code, out, _ = run(capsys, "eval", "--expr", knot, "--color-all", "16")
+        assert (code, out) == (0, "2.30523236864e+23+3.50442277793e+21i\n")
+        code, out, _ = run(capsys, "growth", "--expr", knot, "--n", "16")
+        assert code == 0 and out.splitlines()[1].startswith("16,")
+
+    def test_closed_output_pipe_exits_one_quietly(self, capsys, monkeypatch, tmp_path):
+        # As when the reader of a pipe closes it: every write fails.  What is
+        # left in the buffer then goes to devnull, not to the closed pipe.
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "pipe", "w") as fh:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+            code = main(["growth", "--expr", "unknot", "--n", "2,4"])
+            monkeypatch.undo()
+            assert code == 1
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
 
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
@@ -223,7 +262,6 @@ class TestExitCodes:
         (asympt.DivergentLimit, ArithmeticError),
         (asympt.DepthExceeded, ArithmeticError),
         (asympt.InsufficientData, ValueError),
-        (asympt.VanishingInvariant, ArithmeticError),
         (bracket.TooManyStrands, ValueError),
     ])
     def test_computation_errors_share_one_base(self, error, base):

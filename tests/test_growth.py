@@ -9,7 +9,12 @@ and evaluates the quotient, or takes the l'Hospital limit of what is left,
 which is how every value was computed before.  Degrees and coefficients
 must agree exactly and values to 1e-12 relative, or both sides must raise
 the same error; a value that is exactly zero comes out as 0.
+
+J(1), the product of the colors, is read from the numerator alone as well,
+on random trees and on numerators of millions of terms.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +28,8 @@ from cablejones.asympt import (
 )
 from cablejones.jones import (
     DeferredRatio,
+    _coefficient_sums,
+    _lattice_indices,
     _materialize,
     _Numerator,
     _sparse,
@@ -242,6 +249,10 @@ def shapes(e, root=True, under_cable=False) -> set[str]:
     return found
 
 
+ALL_SHAPES = {"cable with g > 1", "cable with r < 0", "split union", "twist below a cable",
+              "connected sum below a cable", "connected sum at the root"}
+
+
 def random_tree(rng, depth: int = 3):
     """A random tree of at most 3 components.  Each node is alike likely the
     unknot, a split union cable(0,s), a cable (g > 1 and r < 0 included), a
@@ -293,9 +304,49 @@ class TestRandomTrees:
                     assert value == pytest.approx(expected, rel=1e-12, abs=0), (str(e), n, k)
                 if k == 1:
                     assert row.abs_eval == abs(value)
-        assert seen == {"cable with g > 1", "cable with r < 0", "split union",
-                        "twist below a cable", "connected sum below a cable",
-                        "connected sum at the root"}
+        assert seen == ALL_SHAPES
+
+
+def value_at_one(num) -> int:
+    """J(1) from J's numerator alone.  J is -S[i] on the lattice indices
+    k[i] <= k < k[i + 1], S the running sums, so J(1) is
+    -sum S[i] (k[i + 1] - k[i]); max |S| k[-1] bounds every partial sum."""
+    k = _lattice_indices(num)
+    sums = _coefficient_sums(num.coeffs, num.bound)
+    dtype = np.int64 if laurent._max_abs(sums) * int(k[-1]) < 2 ** 63 else object
+    return -int(np.dot(sums[:-1].astype(dtype), np.diff(k).astype(dtype)))
+
+
+class TestValueAtOne:
+    """J(1) is the product of the colors, sign included.  At A = 1 every
+    power of A is 1; a cable's trinomial table is symmetric and sums to its
+    block's product, so sum C[m] (m p + 1) is that product, the odd-color
+    rule giving J(-j) = -J(j); and a connected sum gives (n a)(n b) / n.
+    This checks the trinomial weights, the sign rule, the merges' sums and
+    the connected-sum division on numerators of millions of terms, which no
+    dense referee reaches; it does not check exponents."""
+
+    def test_random_trees(self, rng):
+        seen = set()
+        for _ in range(300):
+            e = random_tree(rng)
+            seen |= shapes(e)
+            colors = tuple(rng.randint(1, 5) for _ in range(component_count(e)))
+            memo = {}
+            J = colored_jones(e, colors, memo)
+            assert sum(J.coeffs.tolist()) == math.prod(colors), (str(e), colors)
+            assert value_at_one(colored_numerator(e, colors, memo)) == math.prod(colors)
+        assert seen == ALL_SHAPES
+
+    def test_large_numerators(self):
+        # The N = 512 iterated row, 2.8 million terms, is checked where
+        # TestLargeColors builds it.
+        for text, n in (("cable(2,5;1;cable(2,3;1;cable(2,3;1;unknot)))", 32),
+                        ("cable(1,2;1;cable(3,2;1;cable(2,3;1;cable(2,3;1;unknot))))", 16),
+                        (T23_T25, 64), ("cable(4,6;1;cable(2,3;1;unknot))", 24)):
+            e = parse(text)
+            colors = (n,) * component_count(e)
+            assert value_at_one(colored_numerator(e, colors)) == math.prod(colors), text
 
 
 # Connected sums of knots, split unlinks and a nested connected sum, each
@@ -372,16 +423,17 @@ class TestLargeColors:
     def test_iterated_cable_decays_to_n_512(self, monkeypatch):
         # The value step finds each row's root in the memo that built it, so
         # _cable runs once a row, also at N = 512, past 2^20 terms.
-        cable, terms = jones._cable, []
+        cable, nums = jones._cable, []
 
         def spy(e, colors, memo):
             num = cable(e, colors, memo)
-            terms.append(len(num.exps))
+            nums.append(num)
             return num
 
         monkeypatch.setattr(jones, "_cable", spy)
         rows = growth_table(parse(ITERATED), [128, 256, 512])
-        assert len(terms) == 3 and terms[-1] > 2 ** 20
+        assert len(nums) == 3 and len(nums[-1].exps) > 2 ** 20
+        assert [value_at_one(num) for num in nums] == [128, 256, 512]
         vcs = [r.vc_value for r in rows]
         assert vcs[0] > vcs[1] > vcs[2]
         pinned = {256: (67660170, 22, 35, 5285082.562550465),

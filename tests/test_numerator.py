@@ -26,7 +26,6 @@ import pytest
 
 from cablejones import jones, laurent
 from cablejones.jones import (
-    _ZERO,
     _lattice_indices,
     _materialize,
     _Numerator,
@@ -257,15 +256,16 @@ class TestCableOverATorusKnot:
             end = 0
             for i, (m, c) in enumerate(table.items()):
                 j = m * p + 1
-                knot = colored_numerator(e.child, (abs(j),)) if j else _ZERO
+                # The knot colored 0 has no terms.
+                knot = (list(zip(*colored_numerator(e.child, (abs(j),))[:2])) if j
+                        else [])
                 size = 2 * abs(j)
-                assert len(knot.exps) == size
+                assert len(knot) == size
                 assert (payload[end:end + size] >> 1 == i).all(), (text, m)
                 shift = rg * m * (m * p + 2)
                 got = dict_sums(exps[end:end + size] - shift, coeffs[end:end + size])
                 sign = 1 if j > 0 else -1
-                assert got == [(int(x), sign * c * int(y))
-                               for x, y in zip(knot.exps, knot.coeffs) if c], (text, m)
+                assert got == [(int(x), sign * c * int(y)) for x, y in knot if c], (text, m)
                 end += size
             assert end == len(packed.keys)
 
@@ -490,6 +490,27 @@ class TestExponentGuards:
         e = Cable(ConnSum(Twist(Unknot(), 1, self.R), 1, Unknot(), 1), 1, 1, 1)
         same(colored_jones(e, (3,)), self.twisted(3, self.R + 1))
 
+    def test_lattice_past_int64(self):
+        # The knot colored 2 and 4 takes twists of 3 and 15 times 2^70, so the
+        # cable's numerator spans about 3 * 2^70 steps of A^4: J is refused as
+        # too large, while its statistics need no lattice indices.
+        e = Cable(Twist(Cable(Unknot(), 1, 2, 5), 1, 2 ** 70), 1, 2, 3)
+        num = colored_numerator(e, (2,))
+        span = int(num.exps[-1]) - int(num.exps[0])
+        assert span // 4 > 3 * 2 ** 70
+        with pytest.raises(MemoryError, match=f"spanning {span} exponents"):
+            colored_jones(e, (2,))
+        assert jones._statistics(num)[2] == 1
+        # Up to 2^63 - 1 steps the indices are int64.
+        for steps, fits in ((2 ** 63 - 1, True), (2 ** 63, False)):
+            num = _Numerator(np.array([-2, 4 * steps - 2], dtype=object),
+                             np.array([-1, 1]), 1)
+            if fits:
+                assert _lattice_indices(num).tolist() == [0, steps]
+            else:
+                with pytest.raises(MemoryError):
+                    _lattice_indices(num)
+
     def test_unknot_numerator(self):
         n = 2 ** 62
         num = jones._jones(Unknot(), (n,), {})
@@ -530,8 +551,6 @@ def referee_connsum(e, colors, memo):
     tail = colors[cl:]
     left = jones._jones(e.left, colors[:cl], memo)
     right = jones._jones(e.right, tail[:e.j - 1] + (n,) + tail[e.j - 1:], memo)
-    if not len(left.exps) or not len(right.exps):
-        return _ZERO
     k = _lattice_indices(left)
     arr = np.zeros(int(k[-1]) + 1, dtype=left.coeffs.dtype)
     arr[k] = left.coeffs
