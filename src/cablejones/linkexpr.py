@@ -10,9 +10,11 @@ the little grammar
           | "connsum" "(" expr "," i ";" expr "," j ")"
 
 with integers r, f, positive integers s, i, j, and 1-based component
-indices.  Whitespace is ignored everywhere.  The parser accepts at most
-MAX_NESTING levels of cable, twist and connsum inside one another, so the
-recursive parser, mirror and engine stay far from Python's recursion limit.
+indices.  Whitespace is ignored everywhere: the parser reads the text one
+token at a time (a keyword, a signed integer, or one other character), and
+no token holds a space.  It accepts at most MAX_NESTING levels of cable,
+twist and connsum inside one another, so the recursive parser, mirror and
+engine stay far from Python's recursion limit.
 
 Component bookkeeping: (r,s)-cabling component i replaces it with
 g = gcd(|r|, s) cable components (gcd(0, s) = s).  Numbering the s cable
@@ -37,6 +39,7 @@ check it against the engine.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,96 +210,79 @@ def to_text(e: LinkExpr) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    """Recursive descent over the tokens of the text, read one at a time."""
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def __init__(self, text: str):
+        # A token is a word (letters and numerals such as "²"; a keyword is
+        # all letters), a signed decimal integer, or any other non-space
+        # character.  Whitespace matches nothing, so finditer steps over it;
+        # a pattern that matched it, such as a leading \s*, would be retried
+        # at every space of a run, quadratic in its length.
+        self.tokens = re.finditer(r"[^\W\d_]+|[+-]?\d+|\S", text)
+        self.end = len(text)
+
+    def token(self) -> str:
+        """The next token, or "" past the end; self.pos is where it starts."""
+        m = next(self.tokens, None)
+        self.pos = m.start() if m else self.end
+        return m[0] if m else ""
 
     def expect(self, ch: str):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+        if self.token() != ch:
             raise ExprSyntaxError(f"expected '{ch}'", self.pos)
-        self.pos += 1
-
-    def word(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if self.pos == start:
-            raise ExprSyntaxError("expected a keyword", start)
-        return self.text[start: self.pos]
 
     def integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise ExprSyntaxError("expected an integer", start)
-        return int(self.text[start: self.pos])
+        tok = self.token()
+        if not tok[-1:].isdecimal():  # only an integer token ends in a decimal digit
+            raise ExprSyntaxError("expected an integer", self.pos)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ExprSyntaxError("integer has too many digits", self.pos) from None
 
-    def posint(self, what: str) -> int:
-        self._skip_ws()
-        start = self.pos
-        n = self.integer()
-        if n < 1:
-            raise ExprSyntaxError(f"{what} must be positive", start)
-        return n
+    def index(self) -> int:
+        i = self.integer()
+        if i < 1:
+            raise ExprSyntaxError("component index must be positive", self.pos)
+        return i
 
     def expr(self, depth: int = 0) -> LinkExpr:
         """Parse one expression inside `depth` enclosing constructors."""
-        self._skip_ws()
+        kw = self.token()
         start = self.pos
-        kw = self.word()
+        if not kw[:1].isalpha():
+            raise ExprSyntaxError("expected a keyword", start)
         if kw == "unknot":
             return Unknot()
-        if depth >= MAX_NESTING and kw in ("cable", "twist", "connsum"):
+        if kw not in ("cable", "twist", "connsum"):
+            raise ExprSyntaxError(f"unknown keyword '{kw}'", start)
+        if depth >= MAX_NESTING:
             raise ExpressionTooDeep(
                 f"expression nests more than {MAX_NESTING} levels (at position {start})")
-        if kw == "cable":
-            self.expect("(")
-            r = self.integer()
-            self.expect(",")
-            self._skip_ws()
-            spos = self.pos
-            s = self.integer()
-            if s < 1:
-                raise BadCableParams(
-                    f"cable strand count must be >= 1, got {s} (at position {spos})")
-            self.expect(";")
-            i = self.posint("component index")
-            self.expect(";")
-            child = self.expr(depth + 1)
-            self.expect(")")
-            return Cable(child, i, r, s)
-        if kw == "twist":
-            self.expect("(")
-            f = self.integer()
-            self.expect(";")
-            i = self.posint("component index")
-            self.expect(";")
-            child = self.expr(depth + 1)
-            self.expect(")")
-            return Twist(child, i, f)
+        self.expect("(")
         if kw == "connsum":
-            self.expect("(")
             left = self.expr(depth + 1)
             self.expect(",")
-            i = self.posint("component index")
+            i = self.index()
             self.expect(";")
             right = self.expr(depth + 1)
             self.expect(",")
-            j = self.posint("component index")
+            j = self.index()
             self.expect(")")
             return ConnSum(left, i, right, j)
-        raise ExprSyntaxError(f"unknown keyword '{kw}'", start)
+        n = self.integer()  # the cable's r or the twist's f
+        if kw == "cable":
+            self.expect(",")
+            s = self.integer()
+            if s < 1:
+                raise BadCableParams(
+                    f"cable strand count must be >= 1, got {s} (at position {self.pos})")
+        self.expect(";")
+        i = self.index()
+        self.expect(";")
+        child = self.expr(depth + 1)
+        self.expect(")")
+        return Cable(child, i, n, s) if kw == "cable" else Twist(child, i, n)
 
 
 def parse(text: str) -> LinkExpr:
@@ -309,7 +295,6 @@ def parse(text: str) -> LinkExpr:
     """
     p = _Parser(text)
     e = p.expr()
-    p._skip_ws()
-    if p.pos != len(text):
+    if p.token():
         raise ExprSyntaxError("trailing input", p.pos)
     return e

@@ -80,6 +80,10 @@ class TestVanishingOrder:
         with pytest.raises(DepthExceeded, match="N=6 .* after 8 derivatives"):
             vanishing_order(quantum_integer(6) ** 9, RootOfUnityPoint(6))
 
+    def test_zero_polynomial_is_rejected(self):
+        with pytest.raises(ValueError, match="vanishes to every order"):
+            vanishing_order(LaurentPoly.zero(), RootOfUnityPoint(3))
+
     def test_nonvanishing(self):
         assert vanishing_order(LaurentPoly.one(), RootOfUnityPoint(3)) == 0
         for n in (6, 12):

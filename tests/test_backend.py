@@ -402,6 +402,14 @@ class TestPublicBoundary:
         with pytest.raises(ValueError):
             p.coeffs[0] = 5
 
+    def test_input_errors(self):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            RootOfUnityPoint(0)
+        with pytest.raises(ValueError, match="divisor color must be >= 1"):
+            divide_by_quantum_integer(quantum_integer(3), 0)
+        with pytest.raises(ValueError, match="in the variable A"):
+            LaurentPoly.from_json_dict({"variable": "q", "terms": [[0, "1"]]})
+
 
 # -- strided storage ----------------------------------------------------------
 

@@ -35,6 +35,16 @@ class TestJonesCommand:
         poly = LaurentPoly.from_json_dict(json.loads(out))
         assert poly == LaurentPoly.from_terms([(16, 1), (12, 1), (8, 1), (0, -1)])
 
+    def test_normalized_when_the_quantum_integer_does_not_divide(self, capsys):
+        argv = ("jones", "--expr", "cable(2,3;1;unknot)", "--colors", "2",
+                "--normalized", "--split-mult", "2")
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "[2]^1 does not divide; use `eval` for the limit value\n")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert (code, out) == (0, '{"deferred": true, "numerator": {"variable": "A", '
+                                  '"terms": [[14, "1"], [6, "1"], [2, "-1"]]}, '
+                                  '"divisor_color": 2, "divisor_power": 1}\n')
+
 
 class TestTrinomialCommand:
     def test_table_lines(self, capsys):
@@ -148,6 +158,15 @@ class TestExitCodes:
         assert code == 2
         assert "ExprSyntaxError" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("cable(\u00b2,3;1;unknot)", "expected an integer"),
+        ("twist(" + "1" * 5000 + ";1;unknot)", "integer has too many digits"),
+    ], ids=["superscript two", "5000 digits"])
+    def test_integer_that_int_rejects_is_a_syntax_error(self, capsys, text, message):
+        code, out, err = run(capsys, "jones", "--expr", text, "--colors", "2")
+        assert (code, out) == (2, "")
+        assert err == f"ExprSyntaxError: {message} (at position 6)\n"
+
     def test_too_deep_expression_is_usage(self, capsys):
         text = "twist(1;1;" * 2000 + "unknot" + ")" * 2000
         code, _, err = run(capsys, "jones", "--expr", text, "--colors", "2")
@@ -170,10 +189,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert error in err and "Traceback" not in err
 
+    def test_bad_color_list_is_usage(self, capsys):
+        code, out, err = run(capsys, "jones", "--expr", "unknot", "--colors", "2,x")
+        assert (code, out) == (2, "")
+        assert err == "ValueError: bad color list '2,x'; expected e.g. 2,2,3\n"
+
     def test_bad_range_is_usage(self, capsys):
         for sweep in ("8:4:x2", "0:4:x2", "2:8:x1"):
             code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", sweep)
             assert code == 2 and f"bad range '{sweep}'" in err
+        code, out, err = run(capsys, "growth", "--expr", "unknot", "--n", "2:8:y2")
+        assert (code, out) == (2, "")
+        assert err == "ValueError: bad range '2:8:y2'; expected a:b:x2\n"
 
     def test_counts_below_one_are_usage(self, capsys):
         for argv in (("growth", "--expr", "unknot", "--n", "2,4", "--threads", "0"),

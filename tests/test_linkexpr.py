@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cablejones.asympt import eval_normalized_at_root
@@ -67,6 +69,94 @@ class TestParse:
             parse("cable(2,0;1;unknot)")
         with pytest.raises(BadCableParams):
             Cable(Unknot(), 1, 2, 0)
+
+
+class TestParseErrors:
+    """Every parser error, with its exact message and position."""
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("cable[2,3;1;unknot)", "expected '('", 5),
+        ("twist", "expected '('", 5),
+        ("cable(2 3;1;unknot)", "expected ','", 8),
+        ("connsum(unknot;1;unknot,1)", "expected ','", 14),
+        ("twist(1,1;unknot)", "expected ';'", 7),
+        ("cable(2,3;1,unknot)", "expected ';'", 11),
+        ("cable(2,3;1;unknot", "expected ')'", 18),
+        ("twist(1;1;unknot 3)", "expected ')'", 17),
+        ("", "expected a keyword", 0),
+        ("  \t\n", "expected a keyword", 4),
+        ("cable(2,3;1; )", "expected a keyword", 13),
+        ("connsum(,1;unknot,1)", "expected a keyword", 8),
+        ("cable(x,3;1;unknot)", "expected an integer", 6),
+        ("twist(+ 1;1;unknot)", "expected an integer", 6),
+        ("cable(2,\u00bd;1;unknot)", "expected an integer", 8),
+        ("twist(1;", "expected an integer", 8),
+        ("cable(2,3;0;unknot)", "component index must be positive", 10),
+        ("twist(1; -1;unknot)", "component index must be positive", 9),
+        ("connsum(unknot,1;unknot,0)", "component index must be positive", 24),
+        ("knot", "unknown keyword 'knot'", 0),
+        ("cable(2,3;1;unknots)", "unknown keyword 'unknots'", 12),
+        ("unknot junk", "trailing input", 7),
+        ("unknot)", "trailing input", 6),
+        ("twist(1;1;unknot) ;", "trailing input", 18),
+    ])
+    def test_syntax_error(self, text, message, pos):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert exc.value.pos == pos
+        assert str(exc.value) == f"{message} (at position {pos})"
+
+    @pytest.mark.parametrize("text, message", [
+        ("cable(\u00b2,3;1;unknot)", "expected an integer"),  # isdigit, not decimal
+        ("twist(" + "1" * 5000 + ";1;unknot)", "integer has too many digits"),
+    ], ids=["superscript two", "5000 digits"])
+    def test_integers_that_int_rejects(self, text, message):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at position 6)"
+
+    def test_a_word_with_a_numeral_is_one_token(self):
+        with pytest.raises(ExprSyntaxError,
+                           match="^unknown keyword 'unknot²' \\(at position 0\\)$"):
+            parse("unknot²")
+
+    def test_strand_count_error_has_position(self):
+        for text, s, pos in (("cable(2, 0;1;unknot)", 0, 9),
+                             ("cable(2,-3;1;x", -3, 8)):
+            with pytest.raises(BadCableParams) as exc:
+                parse(text)
+            assert str(exc.value) == (
+                f"cable strand count must be >= 1, got {s} (at position {pos})")
+
+    def test_too_deep_error_has_position(self):
+        text = "twist(1;1;" * (MAX_NESTING + 1) + "unknot" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ExpressionTooDeep) as exc:
+            parse(text)
+        assert str(exc.value) == (f"expression nests more than {MAX_NESTING} levels "
+                                  f"(at position {10 * MAX_NESTING})")
+
+    @staticmethod
+    def best_time(fn, text, repeats=3):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn(text)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    def test_time_is_linear_in_whitespace(self):
+        text = "unknot" + " " * 200_000
+        assert parse(text) == Unknot()
+        assert self.best_time(parse, text) < 0.1
+
+    def test_stops_at_the_first_error(self):
+        text = "unknot" + ",;" * 2_000_000
+
+        def fails(text):
+            with pytest.raises(ExprSyntaxError, match=r"^trailing input \(at position 6\)$"):
+                parse(text)
+
+        assert self.best_time(fails, text) < 0.1
 
 
 class TestComponentCount:
