@@ -14,8 +14,7 @@ chain of cables over the unknot, and more than ``bracket.MAX_STRANDS``
 strands raise ``TooManyStrands``.
 
 No error reports a vanishing invariant: at A = 1 the invariant is the
-product of the colors, so it is never zero, and the error class that growth
-tables once raised for a zero invariant has been removed from the API.
+product of the colors, so it is never zero.
 """
 
 from .asympt import (

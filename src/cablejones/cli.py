@@ -41,20 +41,21 @@ def _parse_colors(text: str) -> tuple[int, ...]:
 
 def _parse_range(text: str) -> list[int]:
     """a:b:x<k> is the geometric sweep a, a*k, ... up to b; or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3 or not parts[2].startswith("x"):
-            raise ValueError(f"bad range {text!r}; expected a:b:x2")
-        a, b, k = int(parts[0]), int(parts[1]), int(parts[2][1:])
+    try:
+        if ":" not in text:
+            return [int(p) for p in text.split(",")]
+        a, b, k = text.split(":")
+        a, b, k = int(a), int(b), int(k[1:]) if k.startswith("x") else 0
         if a < 1 or b < a or k < 2:
-            raise ValueError(f"bad range {text!r}")
-        out = []
-        n = a
-        while n <= b:
-            out.append(n)
-            n *= k
-        return out
-    return [int(p) for p in text.split(",")]
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad range {text!r}; expected a:b:x2 or a comma list") from None
+    out = []
+    n = a
+    while n <= b:
+        out.append(n)
+        n *= k
+    return out
 
 
 def _cmd_trinomial(args) -> int:

@@ -111,10 +111,6 @@ _SCATTER_CHUNK = 1 << 16
 # beats arr.nonzero() on wide int64 arrays and loses on short ones.
 _MASK_MIN = 400
 
-# Equality compares int64 arrays of up to this many entries as bytes, which
-# copies both and beats an elementwise pass only on short arrays.
-_EQ_BYTES_MAX = 8192
-
 
 class ComputationError(Exception):
     """Base of every error in which a well-formed input fails to compute.
@@ -566,7 +562,7 @@ class LaurentPoly:
             k = _terms(self, a, s)
             return (k.tolist() == _terms(other, b, s).tolist()
                     and a[k].tolist() == b[k].tolist())
-        if a.dtype == object or len(a) > _EQ_BYTES_MAX:
+        if a.dtype == object:
             return bool((a == b).all())
         return a.tobytes() == b.tobytes()
 

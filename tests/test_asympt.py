@@ -186,6 +186,19 @@ class TestModeration:
                    for n in (8, 16, 32, 64, 128)]
         assert not moderation_check(records).passed
 
+    def test_color_one_is_fitted_without_a_ratio(self):
+        # At N = 1, J = 1 and ln N = 0, so ln(maxabscoeff)/ln N is 0/0.
+        e = parse("cable(2,3;1;unknot)")
+        with_one = moderation_check(growth_table(e, [1, 2, 4, 8, 16], 1))
+        without = moderation_check(growth_table(e, [2, 4, 8, 16], 1))
+        assert with_one.passed and without.passed
+        assert with_one.log_ratios == without.log_ratios
+        assert moderation_check(growth_table(e, [1, 2, 4, 8], 1)).passed
+        control = [GrowthRecord(n, n * n, 0, 2 ** n, 1.0, 0.0)
+                   for n in (1, 8, 16, 32, 64)]
+        assert len(moderation_check(control).log_ratios) == 4
+        assert not moderation_check(control).passed
+
     def test_insufficient_data(self):
         records = [GrowthRecord(n, n, 0, 1, 1.0, 0.0) for n in (2, 4, 8)]
         with pytest.raises(InsufficientData):

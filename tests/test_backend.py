@@ -23,7 +23,6 @@ from cablejones.laurent import (
     LaurentPoly,
     NotDivisible,
     RootOfUnityPoint,
-    _EQ_BYTES_MAX,
     _add_product,
     _make,
     divide_by_quantum_integer,
@@ -629,14 +628,14 @@ class TestTrim:
 
 
 class TestWideEquality:
-    """Equality past the length where arrays stop being compared as bytes."""
+    """Equality of int64 arrays around 8192 entries and far past them."""
 
     @staticmethod
     def wide(n: int, val: int = -5, step: int = 4) -> LaurentPoly:
         return _make(val, np.arange(n, dtype=np.int64) % 7 + 1, step=step)
 
     def test_equal_and_unequal_arrays(self):
-        for n in (_EQ_BYTES_MAX - 1, _EQ_BYTES_MAX, _EQ_BYTES_MAX + 1, 300_000):
+        for n in (8191, 8192, 8193, 300_000):
             a = self.wide(n)
             assert a == self.wide(n)
             assert a != self.wide(n, val=-1) and a != self.wide(n, step=2)
@@ -647,7 +646,7 @@ class TestWideEquality:
                 assert a != b and b != a
 
     def test_mirror_views(self):
-        for n in (_EQ_BYTES_MAX + 1, 300_000):
+        for n in (8193, 300_000):
             a = self.wide(n)
             am = a.mirror()
             assert not am.coeffs.flags.c_contiguous
@@ -659,7 +658,7 @@ class TestWideEquality:
 
     def test_different_steps(self):
         # The same value on step 4 and spread onto step 2 still compares equal.
-        a = self.wide(_EQ_BYTES_MAX)
+        a = self.wide(8192)
         spread = np.zeros(2 * len(a.coeffs) - 1, dtype=np.int64)
         spread[::2] = a.coeffs
         assert a == _make(a.val, spread, step=2)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from cablejones import asympt, bracket, jones
+from cablejones import asympt, bracket, jones, symfun
 from cablejones.cli import main
 from cablejones.laurent import ComputationError, LaurentPoly, NotDivisible
 
@@ -138,6 +138,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "symfun  pass" in out
 
+    def test_failing_suites_exit_one(self, capsys, monkeypatch):
+        report = symfun.VerifyReport((1,), 1, False, ("chain count at mu=(0,0): got 0, want 1",))
+        monkeypatch.setattr(symfun, "verify_coefficients", lambda colors, p: report)
+        monkeypatch.setattr(bracket, "equal_up_to_monomial", lambda engine, other: None)
+        code, out, err = run(capsys, "verify", "--suite", "all")
+        assert code == 1
+        assert out == "symfun   FAIL\nbracket  FAIL\n"
+        assert err == ("colors=(1,) p=1: FAIL (chain count at mu=(0,0): got 0, want 1)\n"
+                       "bracket mismatch at cable(2,3;1;unknot)\n")
+
     def test_bracket_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "bracket")
         assert code == 0
@@ -195,12 +205,12 @@ class TestExitCodes:
         assert err == "ValueError: bad color list '2,x'; expected e.g. 2,2,3\n"
 
     def test_bad_range_is_usage(self, capsys):
-        for sweep in ("8:4:x2", "0:4:x2", "2:8:x1"):
-            code, _, err = run(capsys, "growth", "--expr", "unknot", "--n", sweep)
-            assert code == 2 and f"bad range '{sweep}'" in err
-        code, out, err = run(capsys, "growth", "--expr", "unknot", "--n", "2:8:y2")
-        assert (code, out) == (2, "")
-        assert err == "ValueError: bad range '2:8:y2'; expected a:b:x2\n"
+        for sweep in ("8:4:x2", "0:4:x2", "2:8:x1", "2:8:y2", "2:8", "2:8:x2:x2",
+                      "2:y:x2", "2:8:x", "2,x", "2,,4", "4;8", "x2", ""):
+            code, out, err = run(capsys, "growth", "--expr", "unknot", "--n", sweep)
+            assert (code, out) == (2, "")
+            assert err == (f"ValueError: bad range {sweep!r}; "
+                           "expected a:b:x2 or a comma list\n")
 
     def test_counts_below_one_are_usage(self, capsys):
         for argv in (("growth", "--expr", "unknot", "--n", "2,4", "--threads", "0"),

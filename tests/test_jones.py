@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from cablejones.jones import DeferredRatio, colored_jones, normalized_jones
+from cablejones.jones import DeferredRatio, _jones, colored_jones, normalized_jones
 from cablejones.laurent import LaurentPoly, quantum_integer
 from cablejones.linkexpr import Cable, Unknot, component_count, mirror_expr, parse
 
@@ -45,6 +45,10 @@ class TestBaseCases:
         from cablejones.linkexpr import ColorArityMismatch
         with pytest.raises(ColorArityMismatch):
             colored_jones(TREFOIL, (2, 2))
+
+    def test_engine_rejects_a_non_expression(self):
+        with pytest.raises(TypeError, match="not a link expression: 'unknot'"):
+            _jones("unknot", (2,), {})
 
 
 class TestSignedColorFetch:

@@ -46,6 +46,22 @@ class TestArithmetic:
             lp((16, 1), (12, 1), (8, 1), (4, 1))
         assert lp((1, 1), (-1, -1)) * lp((1, 1), (-1, 1)) == lp((2, 1), (-2, -1))
 
+    def test_integer_operands(self):
+        p = lp((4, 2), (0, 5))
+        assert 3 - p == lp((4, -2), (0, -2))
+        assert p - 3 == lp((4, 2), (0, 2))
+        assert lp((0, 3)) == 3 and p != 5
+        assert not LaurentPoly.zero() and p
+        assert LaurentPoly.zero().max_abs_coeff() == 0
+
+    def test_foreign_operands(self):
+        p = lp((4, 2), (0, 5))
+        assert p != "p" and p != 5.0
+        for op in (lambda: p + "p", lambda: p - "p", lambda: p * "p",
+                   lambda: p + 1.5, lambda: p * 1.5):
+            with pytest.raises(TypeError):
+                op()
+
     def test_canonical_form(self):
         assert LaurentPoly(0, [0, 0, 1, 0, 0]) == LaurentPoly(2, [1])
         assert LaurentPoly(5, [0, 0]).is_zero()

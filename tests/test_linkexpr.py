@@ -175,12 +175,20 @@ class TestComponentCount:
     def test_twist_preserves(self):
         assert component_count(parse("twist(7;2;cable(0,3;1;unknot))")) == 3
 
+    def test_not_an_expression(self):
+        with pytest.raises(TypeError, match="not a link expression: 'unknot'"):
+            component_count("unknot")
+
 
 class TestMirror:
     def test_examples(self):
         assert mirror_expr(parse("cable(2,3;1;unknot)")) == parse("cable(-2,3;1;unknot)")
         assert mirror_expr(parse("twist(5;1;unknot)")) == parse("twist(-5;1;unknot)")
         assert mirror_expr(Unknot()) == Unknot()
+
+    def test_not_an_expression(self):
+        with pytest.raises(TypeError, match="not a link expression: None"):
+            mirror_expr(None)
 
     def test_structure_preserved(self, rng):
         for _ in range(50):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from cablejones import symfun
 from cablejones.symfun import (
     NotContained,
     TwoRowPartition,
@@ -153,6 +154,28 @@ class TestVerifyCoefficients:
                 for p in (1, 2, 3):
                     report = verify_coefficients(colors, p)
                     assert report.passed, str(report)
+
+    def test_p_below_one(self):
+        mu = TwoRowPartition(2, 0)
+        for call in (lambda: skew_schur_at_roots(mu, TwoRowPartition(0, 0), 0),
+                     lambda: chain_trace((2,), 0, mu),
+                     lambda: h_product_character_expansion((2,), -1)):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                call()
+
+    def test_both_mismatches_are_reported(self, monkeypatch):
+        # A wrong target at j = 3 fails the character expansion and the
+        # chain count at mu = (2,0), whose character index is 3.
+        assert str(verify_coefficients((2, 2), 1)) == "colors=(2, 2) p=1: pass"
+        true = symfun.expected_character_coefficients
+        monkeypatch.setattr(symfun, "expected_character_coefficients",
+                            lambda colors, p: {**true(colors, p), 3: 7})
+        report = verify_coefficients((2, 2), 1)
+        assert not report.passed
+        assert report.failures == ("character expansion at j=3: got 1, want 7",
+                                   "chain count at mu=(2,0): got 1, want 7")
+        assert str(report) == ("colors=(2, 2) p=1: FAIL (character expansion at j=3: "
+                               "got 1, want 7; chain count at mu=(2,0): got 1, want 7)")
 
     def test_expected_collapse_matches_direct_sum(self):
         exp = expected_character_coefficients((2, 2), 1)

@@ -38,6 +38,10 @@ def test_three_three():
     assert dict(t.items()) == brute_force_table((3, 3))
 
 
+def test_repr():
+    assert repr(trinomial_table((2, 3))) == "CoeffTable(colors=(2, 3), values=[1, 2, 2, 1])"
+
+
 def test_coefficient_accessor():
     assert coefficient((3, 3), 0) == 3
     assert coefficient((2, 2), 1) == 0       # parity mismatch
