@@ -32,9 +32,17 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
+def _int(text: str) -> int:
+    """An integer option, read as the expression grammar reads an integer."""
+    try:
+        return linkexpr.parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_colors(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(linkexpr.parse_integer(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad color list {text!r}; expected e.g. 2,2,3") from None
 
@@ -43,9 +51,9 @@ def _parse_range(text: str) -> list[int]:
     """a:b:x<k> is the geometric sweep a, a*k, ... up to b; or a comma list."""
     try:
         if ":" not in text:
-            return [int(p) for p in text.split(",")]
+            return [linkexpr.parse_integer(p) for p in text.split(",")]
         a, b, k = text.split(":")
-        a, b, k = int(a), int(b), int(k[1:]) if k.startswith("x") else 0
+        a, b, k = map(linkexpr.parse_integer, (a, b, k[1:] if k.startswith("x") else "0"))
         if a < 1 or b < a or k < 2:
             raise ValueError
     except ValueError:
@@ -183,23 +191,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--colors", required=True, help="one per component")
     p.add_argument("--normalized", action="store_true")
-    p.add_argument("--split-mult", type=int, help="with --normalized; default 1")
+    p.add_argument("--split-mult", type=_int, help="with --normalized; default 1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_jones)
 
     p = sub.add_parser("eval", help="normalized value at exp(i*pi/2N)")
     p.add_argument("--expr", required=True)
-    p.add_argument("--color-all", type=int, required=True, metavar="N")
-    p.add_argument("--split-mult", type=int, default=1)
+    p.add_argument("--color-all", type=_int, required=True, metavar="N")
+    p.add_argument("--split-mult", type=_int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("growth", help="per-N growth/decay table")
     p.add_argument("--expr", required=True)
     p.add_argument("--n", required=True, help="sweep a:b:x2 or comma list")
-    p.add_argument("--split-mult", type=int, default=1)
+    p.add_argument("--split-mult", type=_int, default=1)
     p.add_argument("--csv", help="write CSV here instead of stdout")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_int, default=1)
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("verify", help="run self-check suites")

@@ -33,19 +33,20 @@ distinct exponents with their nonzero coefficients; a cable of the unknot
 is one vectorized sum over m, and a cable of a torus knot (a cable of the
 unknot with one component) one double sum over m and the knot's own m',
 which copies one shifted prefix of the knot's terms, ordered by |m'|, per
-m; any other cable concatenates its shifted and scaled children.  Each
-merges equal exponents once.  A cable of a torus knot builds its sort keys
-directly on the exponents' lattice, (((e - lo) / g) << c) | (2i + s), with
-i the index of m and s the member of the knot's pair: the low bits pick
-the term's coefficient from a table of 2 len(m) signed weights, so there is
-no index array and no permutation to gather through.  The keys are int32
-when the largest one is below 2^31 and int64 up to 2^63 - 1; past that the
-cable is expanded child by child.  Concatenated children are merged on
-int64 keys that pack the exponent above the term's index, with the
-coefficients as the weights.  Either way one in-place np.sort orders the
-keys, and each exponent's sum is a difference of running sums.  A cable of
-the unknot, whose terms come in a few ascending runs, and keys that would
-not fit int64 take a stable argsort and np.add.reduceat instead.  A
+m; any other cable concatenates its children's terms once and shifts and
+scales each child's slice in place.  Each merges equal exponents once.  A
+cable of a torus knot builds its sort keys directly on the exponents'
+lattice, (((e - lo) / g) << c) | (2i + s), with i the index of m and s the
+member of the knot's pair: the low bits pick the term's coefficient from a
+table of 2 len(m) signed weights, so there is no index array and no
+permutation to gather through.  The keys are int32 when the largest one is
+below 2^31 and int64 up to 2^63 - 1; past that the cable is expanded child
+by child.  Concatenated children's exponents become, in place, int64 keys
+that pack the exponent above the term's index, with the coefficients as the
+weights.  Either way one in-place np.sort orders the keys, and each
+exponent's sum is a difference of running sums.  A cable of the unknot,
+whose terms come in a few ascending runs, and keys that would not fit int64
+take a stable argsort and np.add.reduceat instead.  A
 connected sum has a numerator of its own: the numerator of J_l J_r / [n] is
 N_l J_r / [n], and since [n] (A^2 - A^-2) = A^(2n) - A^(-2n) it is
 N_l N_r / (A^(2n) - A^(-2n)).
@@ -216,29 +217,26 @@ def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
         bound = table.total()
         coeffs = table.array.astype(_dtype(bound), copy=False)
         m = np.arange(-w, w + 1, 2, dtype=_dtype(top))
-        return _merge(*_unknot_cable(m, p, rg, coeffs), bound, few_runs=True)
+        return _argsort_merge(*_unknot_cable(m, p, rg, coeffs), bound)
     knot = e.child
     if (isinstance(knot, Cable) and isinstance(knot.child, Unknot)
             and cable_gcd(knot.r, knot.s) == 1):  # a torus knot
-        packed = _torus_knot_keys(knot, table, p, rg, reach)
-        if packed is not None:
-            return _merge_packed(packed)
+        num = _torus_knot_cable(knot, table, p, rg, reach)
+        if num is not None:
+            return num
 
-    terms = []
-    bound = top = 0
-    for m, c in table.items():
-        j = m * p + 1
-        if j == 0:
-            continue
-        child = _jones(e.child, prefix + (abs(j),) + suffix, memo)
-        terms.append((rg * m * (m * p + 2), c if j > 0 else -c, child))
-        bound += c * child.bound
-        top = max(top, _top(child))
-    edtype, cdtype = _dtype(reach + top), _dtype(bound)
-    exps = [child.exps.astype(edtype, copy=False) + shift
-            for shift, _, child in terms]
-    coeffs = [child.coeffs.astype(cdtype, copy=False) * c for _, c, child in terms]
-    return _merge(np.concatenate(exps), np.concatenate(coeffs), bound)
+    terms = [(m, m * p + 1, c) for m, c in table.items() if m * p + 1]  # j = m p + 1
+    children = [_jones(e.child, prefix + (abs(j),) + suffix, memo) for _, j, _ in terms]
+    bound = sum(c * child.bound for (*_, c), child in zip(terms, children))
+    top = max(map(_top, children))
+    # The children's terms, each child's shifted and scaled where it lies.
+    exps = np.concatenate([k.exps for k in children], dtype=_dtype(reach + top), casting="unsafe")
+    coeffs = np.concatenate([k.coeffs for k in children], dtype=_dtype(bound), casting="unsafe")
+    cuts = np.cumsum([len(k.exps) for k in children[:-1]], dtype=np.int64)
+    for x, y, (m, j, c) in zip(np.split(exps, cuts), np.split(coeffs, cuts), terms):
+        x += rg * m * (m * p + 2)
+        y *= c if j > 0 else -c
+    return _merge(exps, coeffs, bound)
 
 
 def _unknot_cable(m: np.ndarray, p: int, rg: int, coeffs: np.ndarray):
@@ -253,18 +251,6 @@ def _unknot_cable(m: np.ndarray, p: int, rg: int, coeffs: np.ndarray):
     return np.concatenate((shift - j2, shift + j2)), np.concatenate((-coeffs, coeffs))
 
 
-class _Packed(NamedTuple):
-    """Unmerged terms as sort keys (k << bits) | payload: the term's exponent
-    is lo + step k and its coefficient weights[payload]."""
-
-    keys: np.ndarray  # int32 or int64, each within [0, _KEY_MAX]
-    bits: int
-    weights: np.ndarray
-    lo: int
-    step: int
-    bound: int
-
-
 # Sort keys must stay within int64; up to _KEY32_MAX they are int32.
 _KEY_MAX = (1 << 63) - 1
 _KEY32_MAX = (1 << 31) - 1
@@ -277,9 +263,9 @@ def _key_dtype(top_key: int):
     return np.int64 if top_key <= _KEY_MAX else None
 
 
-def _torus_knot_keys(knot: Cable, table, p: int, rg: int, reach: int) -> _Packed | None:
-    """The terms of the cable, with trinomial table `table`, of the torus
-    knot `knot`, packed; None when their exponents or keys would not fit
+def _torus_knot_cable(knot: Cable, table, p: int, rg: int, reach: int) -> _Numerator | None:
+    """The cable, with trinomial table `table`, of the torus knot `knot`,
+    merged from packed keys; None when its exponents or keys would not fit
     int64, and the caller then expands the cable child by child.
 
     The knot colored n is the cable of the unknot with p2 = s', rg2 = r'
@@ -357,12 +343,15 @@ def _torus_knot_keys(knot: Cable, table, p: int, rg: int, reach: int) -> _Packed
     weights[1::2] = table.array
     weights[1::2][j < 0] *= -1
     np.negative(weights[1::2], out=weights[::2])
-    return _Packed(keys, c, weights, omin + kmin, g, bound)
+    return _merge_packed(keys, c, weights, omin + kmin, g, bound)
 
 
-def _merge_packed(packed: _Packed) -> _Numerator:
-    """Sum the packed terms' coefficients at equal exponents, dropping zeros.
+def _merge_packed(keys, bits: int, weights, lo: int, step: int, bound: int) -> _Numerator:
+    """Sum the coefficients of terms given as sort keys at equal exponents,
+    dropping zeros.
 
+    Each key is (k << bits) | payload, int32 or int64 within [0, 2^63 - 1]:
+    the term's exponent is lo + step k and its coefficient weights[payload].
     One in-place sort puts the keys in exponent order; each term's
     coefficient is weights[key & (2^bits - 1)], and each exponent's sum is
     the difference of the running sums at its last term and at the last
@@ -374,7 +363,6 @@ def _merge_packed(packed: _Packed) -> _Numerator:
     leaves 2 bound < 2^63; as int64 sums wrap mod 2^64, each difference
     would be exact even if one did.  Object weights sum exactly.
     """
-    keys, bits, weights, lo, step, bound = packed
     keys.sort()
     coeffs = weights.take(keys & ((1 << bits) - 1))
     keys >>= bits
@@ -390,39 +378,45 @@ def _merge_packed(packed: _Packed) -> _Numerator:
     return _Numerator(exps, sums[nonzero], bound)
 
 
-def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int,
-           few_runs: bool = False) -> _Numerator:
-    """Sum the coefficients of equal exponents and drop the zeros.
+def _merge(exps: np.ndarray, coeffs: np.ndarray, bound: int) -> _Numerator:
+    """Sum the coefficients of equal exponents and drop the zeros, turning
+    `exps` into sort keys in place when they fit int64.
 
     At one exponent, the terms from one m add up in absolute value to at
     most C[m] times its child's bound, so every partial sum stays within
     `bound`.
 
-    The terms go to _merge_packed as the int64 keys
-    ((exp - lo) << b) | index, b = bit_length(n - 1) for n terms, lo and hi
-    the least and greatest exponent, with the coefficients as the weights:
-    the keys are distinct and their order is the exponents' stable order.
-    Every key is at most ((hi - lo) << b) | (n - 1), which is checked
-    against 2^63 - 1 in exact integers, so no key wraps.  On the merges of
-    two three-level cable chains (2.4k to 26k terms) the running-sum tail
-    took as long as the permutation gather and np.add.reduceat it replaced
-    up to 8k terms, and 3-6% less from 9k up.
-
-    Object exponents, a span too wide for the shift, and terms that come in
-    a few ascending runs (`few_runs`) take a stable argsort instead, whose
-    timsort merges a few runs in linear time, and np.add.reduceat.  A cable
-    of the unknot gives at most four runs.  On its terms packed keys
-    measured 1.2-2x slower (T(2,3) at N = 512: 16.8 us against 10.8 us), and
-    a running-sum tail after the argsort no faster (11.0 us).
+    The keys are ((exp - lo) << b) | index, b = bit_length(n - 1) for n
+    terms, lo and hi the least and greatest exponent, and _merge_packed
+    takes the coefficients as the weights: the keys are distinct and their
+    order is the exponents' stable order.  Every key is at most
+    ((hi - lo) << b) | (n - 1), which is checked against 2^63 - 1 in exact
+    integers, so no key wraps.  Object exponents and spans too wide for the
+    shift take _argsort_merge.  The packing stays for its speed on deep
+    chains: sending these merges through the argsort made the growth row of
+    cable(1,2;1;cable(3,2;1;cable(2,3;1;cable(2,3;1;unknot)))) at N = 48
+    take 1.71-1.80 s and 334 MB against 1.18-1.27 s and 291 MB (fresh
+    processes, 2-core x86-64 VM).
     """
     n = len(exps)
     b = (n - 1).bit_length()
-    lo = None if few_runs or exps.dtype == object else int(exps.min())
-    if lo is not None and ((int(exps.max()) - lo) << b) | (n - 1) <= _KEY_MAX:
-        key = exps - lo
-        key <<= b
-        key |= np.arange(n, dtype=np.int64)
-        return _merge_packed(_Packed(key, b, coeffs, lo, 1, bound))
+    lo = None if exps.dtype == object else int(exps.min())
+    if lo is None or ((int(exps.max()) - lo) << b) | (n - 1) > _KEY_MAX:
+        return _argsort_merge(exps, coeffs, bound)
+    exps -= lo
+    exps <<= b
+    exps |= np.arange(n, dtype=np.int64)
+    return _merge_packed(exps, b, coeffs, lo, 1, bound)
+
+
+def _argsort_merge(exps: np.ndarray, coeffs: np.ndarray, bound: int) -> _Numerator:
+    """_merge by a stable argsort and np.add.reduceat.
+
+    A cable of the unknot takes it directly: its terms come in at most four
+    ascending runs, which timsort merges in linear time.  On those terms
+    packed keys measured 1.2-2x slower (T(2,3) at N = 512: 16.8 us against
+    10.8 us), and a running-sum tail after the argsort no faster (11.0 us).
+    """
     order = np.argsort(exps, kind="stable")
     exps = exps[order]
     starts = np.flatnonzero(np.concatenate(([True], exps[1:] != exps[:-1])))

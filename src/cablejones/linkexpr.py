@@ -95,6 +95,17 @@ class NonPositiveColor(ValueError):
 
 MAX_NESTING = 100
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_integer(text: str) -> int:
+    """The integer that text spells by the grammar's rule: an optional sign,
+    then ASCII digits.  ValueError on any other text, and past int()'s limit
+    on digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
 
 def cable_gcd(r: int, s: int) -> int:
     """Number of components of the closed (r,s)-torus braid; gcd(0, s) = s."""
@@ -214,10 +225,11 @@ class _Parser:
 
     def __init__(self, text: str):
         # A token is a word (letters and numerals such as "²"; a keyword is
-        # all letters), a signed decimal integer, or any other non-space
-        # character.  Whitespace matches nothing, so finditer steps over it;
-        # a pattern that matched it, such as a leading \s*, would be retried
-        # at every space of a run, quadratic in its length.
+        # all letters), a sign and decimal digits (an integer when they are
+        # ASCII), or any other non-space character.  Whitespace matches
+        # nothing, so finditer steps over it; a pattern that matched it, such
+        # as a leading \s*, would be retried at every space of a run,
+        # quadratic in its length.
         self.tokens = re.finditer(r"[^\W\d_]+|[+-]?\d+|\S", text)
         self.end = len(text)
 
@@ -233,12 +245,11 @@ class _Parser:
 
     def integer(self) -> int:
         tok = self.token()
-        if not tok[-1:].isdecimal():  # only an integer token ends in a decimal digit
-            raise ExprSyntaxError("expected an integer", self.pos)
         try:
-            return int(tok)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise ExprSyntaxError("integer has too many digits", self.pos) from None
+            return parse_integer(tok)
+        except ValueError:  # not an integer, or more digits than int() reads
+            raise ExprSyntaxError("integer has too many digits" if _INTEGER.fullmatch(tok)
+                                  else "expected an integer", self.pos) from None
 
     def index(self) -> int:
         i = self.integer()

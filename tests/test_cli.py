@@ -204,6 +204,29 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "ValueError: bad color list '2,x'; expected e.g. 2,2,3\n"
 
+    @pytest.mark.parametrize("argv, error", [
+        (("trinomial", "--colors", "1_0"), "ValueError: bad color list '1_0'; expected e.g. 2,2,3"),
+        (("trinomial", "--colors", "\u0663"),
+         "ValueError: bad color list '\u0663'; expected e.g. 2,2,3"),
+        (("trinomial", "--colors", " 4"), "ValueError: bad color list ' 4'; expected e.g. 2,2,3"),
+        (("eval", "--expr", "unknot", "--color-all", "1_0"),
+         "argument --color-all: invalid int value: '1_0'"),
+        (("eval", "--expr", "unknot", "--color-all", "2", "--split-mult", "0_1"),
+         "argument --split-mult: invalid int value: '0_1'"),
+        (("growth", "--expr", "unknot", "--n", "1_0"),
+         "ValueError: bad range '1_0'; expected a:b:x2 or a comma list"),
+        (("growth", "--expr", "unknot", "--n", "2:8:x\u0662"),
+         "ValueError: bad range '2:8:x\u0662'; expected a:b:x2 or a comma list"),
+        (("growth", "--expr", "unknot", "--n", "2", "--threads", "1_0"),
+         "argument --threads: invalid int value: '1_0'"),
+    ])
+    def test_numbers_the_grammar_rejects_are_usage(self, capsys, argv, error):
+        # Every number the CLI reads follows the expression grammar's rule:
+        # an optional sign, then ASCII digits; int() would take all of these.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.rstrip("\n").endswith(error)
+
     def test_bad_range_is_usage(self, capsys):
         for sweep in ("8:4:x2", "0:4:x2", "2:8:x1", "2:8:y2", "2:8", "2:8:x2:x2",
                       "2:y:x2", "2:8:x", "2,x", "2,,4", "4;8", "x2", ""):

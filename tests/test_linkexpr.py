@@ -109,7 +109,9 @@ class TestParseErrors:
     @pytest.mark.parametrize("text, message", [
         ("cable(\u00b2,3;1;unknot)", "expected an integer"),  # isdigit, not decimal
         ("twist(" + "1" * 5000 + ";1;unknot)", "integer has too many digits"),
-    ], ids=["superscript two", "5000 digits"])
+        ("twist(\u0663;1;unknot)", "expected an integer"),  # decimal, not ASCII
+        ("twist(-1\u0660;1;unknot)", "expected an integer"),
+    ], ids=["superscript two", "5000 digits", "Arabic-Indic three", "Arabic-Indic zero"])
     def test_integers_that_int_rejects(self, text, message):
         with pytest.raises(ExprSyntaxError) as exc:
             parse(text)

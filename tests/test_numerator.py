@@ -13,12 +13,15 @@ A^(2n) - A^(-2n)) has a referee of its own: the step-4 product with a dense
 J and division by [n] that it replaced, which must give the same numerator
 entry for entry in each regime of the product.
 
-Merging equal exponents has a referee too: a dict of sums, on both of
-_merge's sorts, at the edge where its packed int64 keys stop fitting.  A
-cable of a torus knot's lattice keys are decoded per m, and taken to the
-edges of int32 and of int64.
+Merging equal exponents has a referee too: a dict of sums, on the argsort
+merge and on the merge that packs int64 keys in its caller's buffer, at the
+edge where those keys stop fitting.  A cable of a torus knot's lattice keys
+are decoded per m, and taken to the edges of int32 and of int64.  Building
+a chain's numerator may take only a bounded multiple of what its memo holds.
 """
 
+import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -201,14 +204,32 @@ def batched_agrees(e, *color_vectors):
         same(_materialize(got), referee(e, colors))
 
 
-def spied(monkeypatch, name, f, *args):
-    """What jones.<name> returned while f(*args) ran."""
-    results = []
-    original = getattr(jones, name)
+Packed = namedtuple("Packed", "keys bits weights lo step bound")
+
+
+def packed_merges(monkeypatch, f, *args):
+    """f(*args), and the arguments of each jones._merge_packed call it made,
+    with the keys as they came in."""
+    calls = []
+    merge = jones._merge_packed
+
+    def spy(keys, *rest):
+        calls.append(Packed(keys.copy(), *rest))
+        return merge(keys, *rest)
+
     with monkeypatch.context() as mp:
-        mp.setattr(jones, name, lambda *a: results.append(original(*a)) or results[-1])
-        f(*args)
-    return results
+        mp.setattr(jones, "_merge_packed", spy)
+        return f(*args), calls
+
+
+def torus_knot_cable(e, block):
+    """jones._torus_knot_cable for the cable e of a torus knot, whose block
+    of colors is `block`."""
+    g = cable_gcd(e.r, e.s)
+    p, rg = e.s // g, e.r // g
+    table = trinomial_table(block)
+    w = table.width
+    return jones._torus_knot_cable(e.child, table, p, rg, abs(rg) * w * (w * p + 2))
 
 
 ITERATED = "cable(2,13;1;cable(2,3;1;unknot))"
@@ -234,7 +255,7 @@ class TestCableOverATorusKnot:
         batched_agrees("cable(-3,1;1;cable(2,5;1;unknot))", (1,), (2,), (5,), (8,))
         batched_agrees("cable(-3,1;1;cable(-2,3;1;unknot))", (2,), (5,), (8,))
 
-    def test_each_m_copies_a_prefix_of_the_knot(self):
+    def test_each_m_copies_a_prefix_of_the_knot(self, monkeypatch):
         # Before the merge, the 2|j| keys that one m owns carry its index and
         # decode to the knot colored |j|, shifted by rg m (m p + 2) and scaled
         # by sign(j) C[m].
@@ -245,9 +266,7 @@ class TestCableOverATorusKnot:
             g = cable_gcd(e.r, e.s)
             p, rg = e.s // g, e.r // g
             table = trinomial_table(block)
-            w = table.width
-            packed = jones._torus_knot_keys(e.child, table, p, rg,
-                                            abs(rg) * w * (w * p + 2))
+            num, [packed] = packed_merges(monkeypatch, torus_knot_cable, e, block)
             assert packed.bound == sum(c * abs(m * p + 1) for m, c in table.items())
             assert packed.keys.dtype == np.int32 and packed.keys.min() >= 0
             payload = packed.keys & ((1 << packed.bits) - 1)
@@ -268,6 +287,8 @@ class TestCableOverATorusKnot:
                 assert got == [(int(x), sign * c * int(y)) for x, y in knot if c], (text, m)
                 end += size
             assert end == len(packed.keys)
+            assert list(zip(num.exps.tolist(), num.coeffs.tolist())) == dict_sums(exps, coeffs)
+            assert num.bound == packed.bound
 
     def test_iterated_cable_past_31_bit_keys(self, monkeypatch):
         # At N = 128 the largest key has 31 bits and at N = 129 it needs 32
@@ -275,7 +296,7 @@ class TestCableOverATorusKnot:
         # too wide here, so the check is against the child-by-child numerator.
         e = parse(ITERATED)
         for n, dtype in ((128, np.int32), (129, np.int64)):
-            packed = spied(monkeypatch, "_torus_knot_keys", colored_numerator, e, (n,))
+            _, packed = packed_merges(monkeypatch, colored_numerator, e, (n,))
             assert [p.keys.dtype for p in packed] == [dtype]
             identical(colored_numerator(e, (n,)), colored_numerator(unbatched(e), (n,)))
 
@@ -295,9 +316,10 @@ class TestCableOverATorusKnot:
         for text, colors, top_key, dtype in self.KEY_EDGES:
             e = parse(text)
             tops.clear()
-            packed = spied(monkeypatch, "_torus_knot_keys", colored_numerator, e, colors)
+            num, packed = packed_merges(monkeypatch, torus_knot_cable, e, colors)
             assert tops == [top_key], text
-            assert [None if p is None else p.keys.dtype for p in packed] == [dtype], text
+            assert [p.keys.dtype for p in packed] == ([] if dtype is None else [dtype]), text
+            assert (num is None) == (dtype is None), text
             identical(colored_numerator(e, colors), colored_numerator(unbatched(e), colors))
 
     def test_benchmark_rows_take_the_packed_path(self, monkeypatch):
@@ -343,23 +365,29 @@ def dict_sums(exps, coeffs) -> list[tuple[int, int]]:
 
 
 class TestMerge:
-    """_merge against a dict of sums.  Both sorts must give the same terms;
-    the packed int64 keys are taken exactly when they fit."""
+    """The argsort merge and the merge that packs int64 keys in its caller's
+    buffer against a dict of sums.  Both must give the same terms; the keys
+    are packed exactly when they fit."""
 
     @staticmethod
     def merges(monkeypatch, exps, coeffs, packs: bool):
         exps, coeffs = np.asarray(exps), np.asarray(coeffs)
         expected = dict_sums(exps, coeffs)
         argsort = np.argsort
-        for few_runs in (False, True):
-            calls = []
+        for merge in (jones._merge, jones._argsort_merge):
+            buffer, calls = exps.copy(), []
             with monkeypatch.context() as mp:
                 mp.setattr(np, "argsort",
                            lambda *a, **k: calls.append(1) or argsort(*a, **k))
-                got = jones._merge(exps, coeffs, 7, few_runs)
-            assert bool(calls) == (few_runs or not packs)
+                got, packed = packed_merges(mp, merge, buffer, coeffs, 7)
+            packed_here = merge is jones._merge and packs
+            assert bool(calls) != packed_here and len(packed) == packed_here
             assert list(zip(got.exps.tolist(), got.coeffs.tolist())) == expected
             assert got.coeffs.dtype == coeffs.dtype and got.bound == 7
+            if packed_here:  # the keys were made, sorted and shifted back in place
+                assert buffer.tolist() == sorted((exps - exps.min()).tolist())
+            else:
+                assert buffer.tolist() == exps.tolist()
 
     def test_many_runs_and_few(self, monkeypatch):
         gen = np.random.default_rng(14)
@@ -397,6 +425,23 @@ class TestMerge:
         n = (1 << 16) + 5  # b = 17
         exps = gen.integers(-10 ** 6, 10 ** 6, n)
         self.merges(monkeypatch, exps, gen.integers(-3, 4, n), True)
+
+
+class TestMemory:
+    def test_a_chain_peaks_within_a_multiple_of_its_memo(self):
+        # Building the 3-level chain's numerator at N = 24 traces a peak of
+        # 2.36 times the bytes that its memo holds at the end, and 3.50 times
+        # when each child-by-child cable copied every child twice to merge.
+        e = parse("cable(2,5;1;cable(2,3;1;cable(2,3;1;unknot)))")
+        memo = {}
+        tracemalloc.start()
+        try:
+            colored_numerator(e, (24,), memo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(num.exps.nbytes + num.coeffs.nbytes for num in memo.values())
+        assert peak < 2.6 * held, peak / held
 
 
 class TestCoefficientGuards:
