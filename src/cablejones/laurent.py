@@ -744,48 +744,45 @@ class LaurentPoly:
 
         The coefficients are summed exactly per residue class of the
         exponent mod 4N before any floating-point work, so exponent
-        magnitude never costs precision; one dot product with the powers of
-        A0 finishes.  A carried support is folded term by term, any other
-        array row by row.  That dot errs by at most (4N + 64) 2^-52 sum |c|:
+        magnitude never costs precision: a carried support is scattered
+        term by term into 4N sums on step 1, any other array is folded row
+        by row on its own step.  One dot product of the sums with the powers
+        of A0 finishes.  That dot errs by at most (4N + 64) 2^-52 sum |c|:
         each sum converts and each product rounds within 2^-53 relative,
         each power of A0 lies within 32 * 2^-53 of exact, the sum adds
         (4N - 1) 2^-53 of the total, and the two components double that.
         A value below 2^30 times that bound is taken again from the exact
-        sums by _exact_value, so a zero value is exactly 0j and any other
-        is within 2^-30 of exact, relative, however much cancels.
+        sums by _exact_value, so a zero value is exactly 0j and any other is within
+        2^-30 of exact, relative, however much cancels.
         """
-        order = pt.order
-        s = self.step
-        nz = self._nz
+        order, s, nz = pt.order, self.step, self._nz
         if nz is None:
             terms = len(self.coeffs)
             start, sums = self._residue_sums(order)
-            if order % s:
-                powers = pt.powers()[(start + s * np.arange(len(sums))) % order]
-            else:
-                powers = pt.powers()[start: start + s * len(sums): s]
-            value = complex(np.dot(sums, powers))
         else:
-            # columns[j] sums the terms of exponent start + j mod 4N; one
-            # column sums at most every term.
-            terms = len(nz)
-            start = self.val % order
-            columns = np.zeros(order, dtype=_dtype(terms * self._bound))
-            np.add.at(columns, (s * nz) % order,
-                      self.coeffs[nz].astype(columns.dtype, copy=False))
-            value = complex(np.dot(columns, pt.powers()[start: start + order]))
-        # |value| >= 2^30 (4N + 64) 2^-52 sum |c|, with sum |c| <= terms *
-        # bound; a float and an int compare exactly, with no overflow
-        # however large the bound.  The zero polynomial's empty dot is
-        # exactly 0j and passes.
-        if abs(value) * 2.0 ** 22 >= (order + 64) * terms * self._bound:
+            # sums[j] sums the terms of exponent start + j mod 4N; one sum
+            # takes at most every term.
+            terms, start = len(nz), self.val % order
+            sums = np.zeros(order, dtype=_dtype(terms * self._bound))
+            np.add.at(sums, (s * nz) % order, self.coeffs[nz].astype(sums.dtype, copy=False))
+            s = 1
+        bound = terms * self._bound  # >= sum |sums|
+        # sums[j] belongs to exponent start + s*j mod 4N, whose power is
+        # powers()[index[j]], two periods long: a slice when s divides 4N,
+        # as on ring's hot path, else a gather.
+        if order % s:
+            index = (start + s * np.arange(len(sums))) % order
+        else:
+            index = slice(start, start + s * len(sums), s)
+        value = complex(np.dot(sums, pt.powers()[index]))
+        # A float and an int compare exactly, with no overflow however large
+        # the bound.  The zero polynomial's empty dot is exactly 0j and
+        # passes.
+        if abs(value) * 2.0 ** 22 >= (order + 64) * bound:
             return value
-        if nz is None:
-            columns = np.zeros(order, dtype=object)  # sum |columns| may pass 2^62
-            columns[(start + s * np.arange(len(sums))) % order] = sums
-        else:
-            columns = np.roll(columns, start)
-        return _exact_value(columns, pt.N)
+        columns = np.zeros(2 * order, dtype=object)  # sum |columns| may pass 2^62
+        columns[index] = sums
+        return _exact_value(columns[:order] + columns[order:], pt.N)
 
     def _residue_sums(self, order: int) -> tuple[int, np.ndarray]:
         """(start, sums): sums[j] is the exact sum of the coefficients whose
