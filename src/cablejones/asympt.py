@@ -178,12 +178,14 @@ def _limit_columns(x: np.ndarray, n: int, k: int) -> tuple[int, complex]:
             math.comb(j, i) * m ** (i - z) * np.arange(m, dtype=object) ** (j - i) * x[i]
             for i in range(z, j + 1))
         # Each term of the numerator lands in one column, so sum |x[z]| keeps
-        # the bound that chose its dtype, as _exact_value requires.
-        value = _exact_value(u, n)
+        # the bound that chose its dtype, as _exact_value requires.  It
+        # divides sum_r U[r] A0^r by (-1)^j j! m^(j - z) in integers, as U
+        # may pass the float range where the quotient does not.
+        value = _exact_value(u, n, (-1) ** j * math.factorial(j) * m ** (j - z))
         if value:
             break
-    value *= (2j * math.sin(math.pi / n)) ** (j - 1)  # (A0^2 - A0^-2)^(j-1)
-    value = value * (-1) ** j / (math.factorial(j) * m ** (j - z)) + 0j  # + 0j: no -0
+    # (A0^2 - A0^-2)^(j-1); + 0j: no -0
+    value = value * (2j * math.sin(math.pi / n)) ** (j - 1) + 0j
     return (k if n == 1 and j else j), value
 
 

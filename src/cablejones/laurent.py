@@ -214,36 +214,43 @@ def _integral_basis(n: int) -> tuple:
     return index, tuple(steps), basis
 
 
-def _exact_value(columns: np.ndarray, n: int) -> complex:
-    """sum_r columns[r] A0(n)^r over 4n exact integer columns, with no
-    tolerance: 0j when that sum is 0.
+def _exact_value(columns: np.ndarray, n: int, divisor: int = 1) -> complex:
+    """sum_r columns[r] A0(n)^r / divisor over 4n exact integer columns, with
+    no tolerance: 0j when that sum is 0.
 
     The columns become their coordinates in a Z-basis of Z[A0] (see
-    _integral_basis), which are all 0 exactly when the sum is, and one dot
-    with the basis values gives the value.  As A0^(2n) = -1, the columns
-    also fold to columns[r] - columns[r + 2n] for r < 2n, whose dot with
-    A0^r is the same value.  A dot's rounding bound grows with the sum of
-    the |integers| it takes, so the fold's dot is taken when that sum is
-    the smaller one.  When 4n has an odd prime factor the coordinates are
-    often the larger, and their dot loses digits; but a zero value has zero
-    coordinates, and stays 0j, and a value with few small coordinates stays
-    exact (1 + Phi_12 at A0(3) is 1).  The first basis value is A0^0 = 1
-    and +0 + -0 = +0, so zero coordinates give 0j with no sign.  Every
-    intermediate is a +-1 sum of distinct columns, so int64 columns with
-    sum |columns| below 2^62 do not overflow.
+    _integral_basis), which are all 0 exactly when the sum is, and then 0j
+    is returned before any float work.  Otherwise one dot with the basis
+    values gives the value.  As A0^(2n) = -1, the columns also fold to
+    columns[r] - columns[r + 2n] for r < 2n, whose dot with A0^r is the
+    same value.  A dot's rounding bound grows with the sum of the
+    |integers| it takes, so the fold's dot is taken when that sum is the
+    smaller one.  When 4n has an odd prime factor the coordinates are often
+    the larger, and their dot loses digits; but a value with few small
+    coordinates stays exact (1 + Phi_12 at A0(3) is 1).  Each integer is
+    divided by `divisor` before the dot, exactly rounded, so a quotient in
+    the float range comes out of integers past it.  Every intermediate is a
+    +-1 sum of distinct columns, so int64 columns with sum |columns| below
+    2^62 do not overflow.
     """
     index, steps, basis = _integral_basis(n)
     t = columns[index]
     for before, p, after in steps:
         t = t.reshape(before, p, after)
         t = t[:, :p - 1] - t[:, p - 1:]
+    t = t.reshape(-1)
+    if not t.any():
+        return 0j
     if len(steps) > 1:  # for n a power of two the coordinates are the fold
         fold = columns[:2 * n] - columns[2 * n:]
-        # Float sums: a column counts in many coordinates, so an int64 sum
-        # of |t| could wrap.
-        if np.abs(fold).sum(dtype=float) < np.abs(t).sum(dtype=float):
-            return complex(np.dot(fold, _doubled_powers(n)[:2 * n]))
-    return complex(np.dot(t.reshape(-1), basis))
+        # Python ints sum exactly; int64 sums in floats, as a column counts
+        # in many coordinates and an int64 sum of |t| could wrap.
+        kind = object if columns.dtype == object else float
+        if np.abs(fold).sum(dtype=kind) < np.abs(t).sum(dtype=kind):
+            t, basis = fold, _doubled_powers(n)[:2 * n]
+    if divisor != 1:
+        t = t.astype(object) / divisor
+    return complex(np.dot(t, basis))
 
 
 def _dtype(bound: int):
@@ -751,8 +758,9 @@ class LaurentPoly:
         each sum converts and each product rounds within 2^-53 relative,
         each power of A0 lies within 32 * 2^-53 of exact, the sum adds
         (4N - 1) 2^-53 of the total, and the two components double that.
-        A value below 2^30 times that bound is taken again from the exact
-        sums by _exact_value, so a zero value is exactly 0j and any other is within
+        A value below 2^30 times that bound, or one whose sum |c| could
+        leave the float range, is taken again from the exact sums by
+        _exact_value, so a zero value is exactly 0j and any other is within
         2^-30 of exact, relative, however much cancels.
         """
         order, s, nz = pt.order, self.step, self._nz
@@ -774,12 +782,13 @@ class LaurentPoly:
             index = (start + s * np.arange(len(sums))) % order
         else:
             index = slice(start, start + s * len(sums), s)
-        value = complex(np.dot(sums, pt.powers()[index]))
-        # A float and an int compare exactly, with no overflow however large
-        # the bound.  The zero polynomial's empty dot is exactly 0j and
-        # passes.
-        if abs(value) * 2.0 ** 22 >= (order + 64) * bound:
-            return value
+        # Below 2^1000 every float in the dot, and its modulus, is finite.
+        # A float and an int compare exactly, however large the bound.  The
+        # zero polynomial's empty dot is exactly 0j and passes.
+        if bound < 2 ** 1000:
+            value = complex(np.dot(sums, pt.powers()[index]))
+            if abs(value) * 2.0 ** 22 >= (order + 64) * bound:
+                return value
         columns = np.zeros(2 * order, dtype=object)  # sum |columns| may pass 2^62
         columns[index] = sums
         return _exact_value(columns[:order] + columns[order:], pt.N)

@@ -104,6 +104,18 @@ class TestEvalNormalized:
         z = eval_normalized_at_root(parse("cable(0,2;1;unknot)"), 2, 2)
         assert abs(z - 1) < 1e-9
 
+    @pytest.mark.parametrize("s, n", [(130, 3), (120, 4)])
+    def test_unlinks_past_the_float_range(self, s, n):
+        # J = [n]^s, so J/[n]^s is 1; its moment sums pass the float range
+        # before j! (4n)^(j - z) divides them.
+        e = parse(f"cable(0,{s};1;unknot)")
+        assert abs(eval_normalized_at_root(e, n, s) - 1) < 1e-12
+
+    def test_unlink_past_the_float_range_vanishes(self):
+        # The 700-component unlink vanishes to order 700; its columns'
+        # coordinates are exactly 0 while their sums pass the float range.
+        assert str(eval_normalized_at_root(parse("cable(0,700;1;unknot)"), 3, 1)) == "0j"
+
     def test_framing_invisible_in_modulus(self):
         e = parse("cable(2,3;1;unknot)")
         base = abs(eval_normalized_at_root(e, 5, 1))

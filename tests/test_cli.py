@@ -71,6 +71,14 @@ class TestEvalCommand:
                     "--split-mult", k) for k in ("1", "3")]
         assert outs[0] == outs[1] == (0, "1+0i\n", "")
 
+    def test_split_unlink_past_the_float_range(self, capsys):
+        # J = [3]^130: the value is 1 although the exact sums behind it pass
+        # the float range.
+        code, out, _ = run(capsys, "eval", "--expr", "cable(0,130;1;unknot)",
+                           "--color-all", "3", "--split-mult", "130", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert abs(complex(data["re"], data["im"]) - 1) < 1e-12
 
     def test_connected_sum_is_the_product_of_its_factors(self, capsys):
         # The product numerator at N = 2048 would take 0.6 s and 570 MB.

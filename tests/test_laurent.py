@@ -153,6 +153,14 @@ class TestEvalAtRoot:
             p = 2 ** 60 * quantum_integer(n) + value
             assert p.eval_at_root(RootOfUnityPoint(n)) == value
 
+    def test_exact_past_the_float_range(self):
+        # Sums past the float range skip the float dot for the exact
+        # reduction.  A0(3)^6 = -1, so 2^2000 (1 + A^6) is exactly 0.
+        pt = RootOfUnityPoint(3)
+        assert str(LaurentPoly(0, (2 ** 2000, 0, 0, 0, 0, 0, 2 ** 2000)).eval_at_root(pt)) == "0j"
+        p = LaurentPoly(0, (2 ** 1100, 0, 0, 0, 0, 0, 2 ** 1100, 1))
+        assert abs(p.eval_at_root(pt) - pt.powers()[7]) < 1e-12
+
     def test_full_period_power_is_one(self):
         for n in (2, 5, 9):
             p = LaurentPoly.monomial(1, 4 * n)
