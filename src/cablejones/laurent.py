@@ -62,11 +62,18 @@ kernel.
 Evaluation at the root of unity A0 = exp(i*pi/2N) first sums the
 coefficients exactly per residue class of the exponent mod 4N, so
 polynomials of huge degree lose no precision before the single final dot
-product with the powers of A0.  Whether a value at A0 is 0 is decided
-exactly, in one place: _exact_value takes 4N integer residue columns to
-their coordinates in a Z-basis of Z[A0], which all vanish exactly when the
-value does.  eval_at_root takes a value from it whenever the float dot is
-within 2^30 times its rounding bound of 0, so there is no tolerance to set.
+product with the powers of A0.  Both kinds of value take one flow: a dense
+array folds into sums on its own step (_residue_sums), a carrier scatters
+its terms into 4N sums on step 1, and from there the same slice or gather
+of the powers, the same rounding-bound test and the same exact fallback
+serve both.  Whether a value at A0 is 0 is decided exactly, in one place:
+_exact_value takes 4N integer residue columns to their coordinates in a
+Z-basis of Z[A0], which all vanish exactly when the value does.
+eval_at_root takes a value from it whenever the float dot is within 2^30
+times its rounding bound of 0, or when the sums could leave the float
+range, so there is no tolerance to set; integers past the float range
+reach a float only as the value itself, or as their quotient by an exact
+divisor that _exact_value takes before its dot.
 """
 
 from __future__ import annotations

@@ -323,7 +323,8 @@ class TestCablesOfTheTrefoil:
         assert match.shift == 3 * framing
 
     @pytest.mark.parametrize("text", [
-        TREFOIL, "cable(5,2;1;unknot)", f"cable(-1,2;1;{TREFOIL})"])
+        TREFOIL, "cable(5,2;1;unknot)",
+        *(f"cable({r},2;1;{TREFOIL})" for r in (-1, 1, 13))])
     def test_color_three_by_kirby_melvin(self, text):
         # S_2(z) = z^2 - 1: the 2-parallel with unknot delta, minus the
         # empty diagram.
