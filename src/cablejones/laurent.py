@@ -234,9 +234,10 @@ def _exact_value(columns: np.ndarray, n: int, divisor: int = 1) -> complex:
     |integers| it takes, so the fold's dot is taken when that sum is the
     smaller one.  When 4n has an odd prime factor the coordinates are often
     the larger, and their dot loses digits; but a value with few small
-    coordinates stays exact (1 + Phi_12 at A0(3) is 1).  Each integer is
-    divided by `divisor` before the dot, exactly rounded, so a quotient in
-    the float range comes out of integers past it.  Every intermediate is a
+    coordinates stays exact (1 + Phi_12 at A0(3) is 1).  Python ints are
+    each divided by `divisor` before the dot, exactly rounded, so a quotient
+    in the float range comes out of integers past it; int64 coordinates are
+    divided after it.  Every intermediate is a
     +-1 sum of distinct columns, so int64 columns with sum |columns| below
     2^62 do not overflow.
     """
@@ -246,7 +247,7 @@ def _exact_value(columns: np.ndarray, n: int, divisor: int = 1) -> complex:
         t = t.reshape(before, p, after)
         t = t[:, :p - 1] - t[:, p - 1:]
     t = t.reshape(-1)
-    if not t.any():
+    if not np.count_nonzero(t):
         return 0j
     if len(steps) > 1:  # for n a power of two the coordinates are the fold
         fold = columns[:2 * n] - columns[2 * n:]
@@ -255,9 +256,9 @@ def _exact_value(columns: np.ndarray, n: int, divisor: int = 1) -> complex:
         kind = object if columns.dtype == object else float
         if np.abs(fold).sum(dtype=kind) < np.abs(t).sum(dtype=kind):
             t, basis = fold, _doubled_powers(n)[:2 * n]
-    if divisor != 1:
-        t = t.astype(object) / divisor
-    return complex(np.dot(t, basis))
+    if divisor != 1 and t.dtype == object:
+        t, divisor = t / divisor, 1
+    return complex(np.dot(t, basis)) / divisor
 
 
 def _dtype(bound: int):
@@ -792,7 +793,7 @@ class LaurentPoly:
         # Below 2^1000 every float in the dot, and its modulus, is finite.
         # A float and an int compare exactly, however large the bound.  The
         # zero polynomial's empty dot is exactly 0j and passes.
-        if bound < 2 ** 1000:
+        if bound < 2.0 ** 1000:
             value = complex(np.dot(sums, pt.powers()[index]))
             if abs(value) * 2.0 ** 22 >= (order + 64) * bound:
                 return value
