@@ -179,8 +179,8 @@ def _limit_columns(x: np.ndarray, n: int, k: int) -> tuple[int, complex]:
             for i in range(z, j + 1))
         # Each term of the numerator lands in one column, so sum |x[z]| keeps
         # the bound that chose its dtype, as _exact_value requires.  It
-        # divides sum_r U[r] A0^r by (-1)^j j! m^(j - z) in integers, as U
-        # may pass the float range where the quotient does not.
+        # divides sum_r U[r] A0^r by (-1)^j j! m^(j - z) before its dot, as
+        # U may pass the float range where the quotient does not.
         value = _exact_value(u, n, (-1) ** j * math.factorial(j) * m ** (j - z))
         if value:
             break

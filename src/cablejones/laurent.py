@@ -237,9 +237,8 @@ def _exact_value(columns: np.ndarray, n: int, divisor: int = 1) -> complex:
     coordinates stays exact (1 + Phi_12 at A0(3) is 1).  Python ints are
     each divided by `divisor` before the dot, exactly rounded, so a quotient
     in the float range comes out of integers past it; int64 coordinates are
-    divided after it.  Every intermediate is a
-    +-1 sum of distinct columns, so int64 columns with sum |columns| below
-    2^62 do not overflow.
+    divided after it.  Every intermediate is a +-1 sum of distinct columns,
+    so int64 columns with sum |columns| below 2^62 do not overflow.
     """
     index, steps, basis = _integral_basis(n)
     t = columns[index]
@@ -783,16 +782,17 @@ class LaurentPoly:
             np.add.at(sums, (s * nz) % order, self.coeffs[nz].astype(sums.dtype, copy=False))
             s = 1
         bound = terms * self._bound  # >= sum |sums|
-        # sums[j] belongs to exponent start + s*j mod 4N, whose power is
-        # powers()[index[j]], two periods long: a slice when s divides 4N,
-        # as on ring's hot path, else a gather.
+        # powers() holds two periods, so the powers of A0 at the exponents
+        # start + s*j of the sums are powers()[index]: a slice when s
+        # divides 4N, as on ring's hot path, else a gather mod 4N.
         if order % s:
             index = (start + s * np.arange(len(sums))) % order
         else:
             index = slice(start, start + s * len(sums), s)
         # Below 2^1000 every float in the dot, and its modulus, is finite.
-        # A float and an int compare exactly, however large the bound.  The
-        # zero polynomial's empty dot is exactly 0j and passes.
+        # Then |value| >= 2^30 (4N + 64) 2^-52 bound returns it; a float and
+        # an int compare exactly, however large the bound.  The zero
+        # polynomial's empty dot is exactly 0j and passes.
         if bound < 2.0 ** 1000:
             value = complex(np.dot(sums, pt.powers()[index]))
             if abs(value) * 2.0 ** 22 >= (order + 64) * bound:
