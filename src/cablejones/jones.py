@@ -29,12 +29,17 @@ monomials, and for a signed n the same formula gives [-n] = -[n] and
 [0] = 0.  Twists and cabling sums only shift, scale and add numerators, so
 for links built by cabling and twisting N is a short list of signed
 monomials where J is a long dense run.  A numerator is held as ascending
-distinct exponents with their nonzero coefficients; a cable of the unknot
+distinct exponents with their nonzero coefficients.  One function,
+_cable_plan, writes out the cabling formula's terms: the block's trinomial
+table and, for each m, the child's signed color j = m p + 1, the offset
+rg m (m p + 2) and the weight sign(j) C[m], with a bound on the offsets
+that fixes their dtype.  Every path reads that plan: a cable of the unknot
 is one vectorized sum over m, and a cable of a torus knot (a cable of the
 unknot with one component) one double sum over m and the knot's own m',
-which copies one shifted prefix of the knot's terms, ordered by |m'|, per
-m; any other cable concatenates its children's terms once and shifts and
-scales each child's slice in place.  Each merges equal exponents once.  A
+read from the knot's plan at the largest |j|, which copies one shifted
+prefix of the knot's terms, ordered by |m'|, per m; any other cable
+concatenates its children's terms once and shifts and scales each child's
+slice in place.  Each merges equal exponents once.  A
 cable of a torus knot builds its sort keys directly on the exponents'
 lattice, (((e - lo) / g) << c) | (2i + s), with i the index of m and s the
 member of the knot's pair: the low bits pick the term's coefficient from a
@@ -199,56 +204,65 @@ def _top(num: _Numerator) -> int:
     return max(-int(num.exps[0]), int(num.exps[-1]))
 
 
-def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
-    g = cable_gcd(e.r, e.s)
-    p = e.s // g
-    rg = e.r // g
-    i0 = e.i - 1
-    block = colors[i0: i0 + g]
-    prefix = colors[:i0]
-    suffix = colors[i0 + g:]
-    table = trinomial_table(block)
-    w = table.width
-    reach = abs(rg) * w * (w * p + 2)  # bounds |rg m (m p + 2)|
+def _cable_plan(e: Cable, colors: tuple[int, ...]):
+    """The terms of e's cabling expansion at `colors`: (table, j, offsets,
+    weights, reach).
 
+    `table` is the block's trinomial table, and for each m of it, ascending,
+    j = m p + 1 is the child's signed color (0 kept), offsets the shift
+    rg m (m p + 2) and weights sign(j) C[m]; every |offset| is at most
+    `reach`.  j and the offsets are computed in a dtype that holds every
+    intermediate, and rg and p themselves.
+    """
+    g = cable_gcd(e.r, e.s)
+    p, rg = e.s // g, e.r // g
+    table = trinomial_table(colors[e.i - 1: e.i - 1 + g])
+    w = table.width
+    reach = abs(rg) * w * (w * p + 2)
+    m = np.arange(-w, w + 1, 2, dtype=_dtype(max(reach + 2 * (w * p + 1), abs(rg), p)))
+    j = m * p + 1
+    return table, j, rg * m * (j + 1), np.sign(j) * table.array, reach
+
+
+def _cable(e: Cable, colors: tuple[int, ...], memo: dict) -> _Numerator:
+    plan = _cable_plan(e, colors)
+    table, j, offsets, weights, reach = plan
     if isinstance(e.child, Unknot):
-        # Every intermediate, and rg and p themselves, stay within `top`.
-        top = max(reach + 2 * (w * p + 1), abs(rg), p)
-        bound = table.total()
-        coeffs = table.array.astype(_dtype(bound), copy=False)
-        m = np.arange(-w, w + 1, 2, dtype=_dtype(top))
-        return _argsort_merge(*_unknot_cable(m, p, rg, coeffs), bound)
+        return _argsort_merge(*_unknot_cable(offsets, j, table.array), table.total())
     knot = e.child
     if (isinstance(knot, Cable) and isinstance(knot.child, Unknot)
             and cable_gcd(knot.r, knot.s) == 1):  # a torus knot
-        num = _torus_knot_cable(knot, table, p, rg, reach)
+        num = _torus_knot_cable(knot, plan)
         if num is not None:
             return num
 
-    terms = [(m, m * p + 1, c) for m, c in table.items() if m * p + 1]  # j = m p + 1
-    children = [_jones(e.child, prefix + (abs(j),) + suffix, memo) for _, j, _ in terms]
-    bound = sum(c * child.bound for (*_, c), child in zip(terms, children))
+    i0, live = e.i - 1, j != 0
+    rest = colors[i0 + len(table.colors):]
+    children = [_jones(e.child, colors[:i0] + (n,) + rest, memo)
+                for n in np.abs(j[live]).tolist()]
+    weights = weights[live].tolist()
+    bound = sum(abs(c) * child.bound for c, child in zip(weights, children))
     top = max(map(_top, children))
     # The children's terms, each child's shifted and scaled where it lies.
     exps = np.concatenate([k.exps for k in children], dtype=_dtype(reach + top), casting="unsafe")
     coeffs = np.concatenate([k.coeffs for k in children], dtype=_dtype(bound), casting="unsafe")
     cuts = np.cumsum([len(k.exps) for k in children[:-1]], dtype=np.int64)
-    for x, y, (m, j, c) in zip(np.split(exps, cuts), np.split(coeffs, cuts), terms):
-        x += rg * m * (m * p + 2)
-        y *= c if j > 0 else -c
+    for x, y, shift, c in zip(np.split(exps, cuts), np.split(coeffs, cuts),
+                              offsets[live].tolist(), weights):
+        x += shift
+        y *= c
     return _merge(exps, coeffs, bound)
 
 
-def _unknot_cable(m: np.ndarray, p: int, rg: int, coeffs: np.ndarray):
+def _unknot_cable(offsets: np.ndarray, j: np.ndarray, coeffs: np.ndarray):
     """The unmerged (exps, coeffs) of the sum over k of
-    coeffs[k] A^(rg m[k] (m[k] p + 2)) N(unknot colored m[k] p + 1).
+    coeffs[k] A^offsets[k] N(unknot colored j[k]).
 
     The unknot colored j (any sign) has numerator A^(2j) - A^(-2j), so this
     is the closed form of every cable of the unknot.
     """
-    shift = rg * m * (m * p + 2)
-    j2 = 2 * (m * p + 1)
-    return np.concatenate((shift - j2, shift + j2)), np.concatenate((-coeffs, coeffs))
+    return (np.concatenate((offsets - 2 * j, offsets + 2 * j)),
+            np.concatenate((-coeffs, coeffs)))
 
 
 # Sort keys must stay within int64; up to _KEY32_MAX they are int32.
@@ -263,22 +277,24 @@ def _key_dtype(top_key: int):
     return np.int64 if top_key <= _KEY_MAX else None
 
 
-def _torus_knot_cable(knot: Cable, table, p: int, rg: int, reach: int) -> _Numerator | None:
-    """The cable, with trinomial table `table`, of the torus knot `knot`,
-    merged from packed keys; None when its exponents or keys would not fit
-    int64, and the caller then expands the cable child by child.
+def _torus_knot_cable(knot: Cable, plan) -> _Numerator | None:
+    """The cable with _cable_plan `plan` of the torus knot `knot`, merged
+    from packed keys; None when its exponents or keys would not fit int64,
+    and the caller then expands the cable child by child.
 
     The knot colored n is the cable of the unknot with p2 = s', rg2 = r'
     and a table of ones over m2 = -(n - 1) .. n - 1 step 2, so the whole
     cable is one double sum over (m, m2) with coefficient sign(j) C[m] for
-    j = m p + 1 and n = |j|.  The largest |j| is w2 + 1 = w p + 1, so every
-    exponent and every intermediate stays within `top`.
+    n = |j|.  The largest |j| is w2 + 1 = w p + 1, so the knot's own plan
+    at that color holds every term, and every exponent and intermediate
+    stays within reach + reach2 + 2 (w2 p2 + 1), with reach2 the knot
+    plan's reach, and within |rg|, p, |rg2| and p2.
 
     Every |j| - 1 has the parity of w2, so the knot colored |j| is the knot
     colored w2 + 1 cut to its m2 with |m2| < |j|.  With the knot's terms laid
-    out by ascending |m2|, as pairs -A^(shift - j2), +A^(shift + j2), that
-    is their first 2|j|, and the m of index i copies one prefix, shifted by
-    its offset rg m (m p + 2); an m with j = 0 copies none.
+    out by ascending |m2|, as pairs -A^(shift - j2), +A^(shift + j2) with
+    j2 = 2 (m2 p2 + 1), that is their first 2|j|, and the m of index i
+    copies one prefix, shifted by its offset; an m with j = 0 copies none.
 
     A term's key is (((e - lo) / g) << c) | (2i + s).  Here e is its
     exponent; lo is the least offset plus the least knot exponent, so no
@@ -297,32 +313,31 @@ def _torus_knot_cable(knot: Cable, table, p: int, rg: int, reach: int) -> _Numer
     within sum C[m] |j|, the bound that summing the children one by one
     gives.
     """
-    p2, rg2 = knot.s, knot.r
-    w = table.width
-    w2 = w * p
-    top = max(reach + abs(rg2) * w2 * (w2 * p2 + 2) + 2 * (w2 * p2 + 1),
-              abs(rg), p, abs(rg2), p2)
-    if _dtype(top) is object:
+    table, j, offsets, weights, reach = plan
+    _, j2, shift, _, reach2 = _cable_plan(knot, (int(j[-1]),))
+    # Each plan's dtype holds its own terms; their sums stay within this.
+    if (object in (offsets.dtype, shift.dtype)
+            or _dtype(reach + reach2 + 2 * int(j2[-1])) is object):
         return None
-    m = np.arange(-w, w + 1, 2, dtype=np.int64)
-    j = m * p + 1
     sizes = 2 * np.abs(j)  # the knot colored n has 2n terms
     bound = int(table.array.astype(object) @ sizes) // 2
-    # m2 = 0, -2, 2, -4, 4, ... (w2 even) or -1, 1, -3, 3, ... (w2 odd).
-    half = np.arange(w2 % 2, w2 + 1, 2, dtype=np.int64)
-    m2 = np.stack((-half, half), axis=1).reshape(-1)[1 - w2 % 2:]
-    shift, j2 = rg2 * m2 * (m2 * p2 + 2), 2 * (m2 * p2 + 1)
+    # The knot's terms by ascending |m2|: its plan's indices of m2 = 0, -2,
+    # 2, -4, 4, ... (w2 even) or -1, 1, -3, 3, ... (w2 odd).
+    w2 = len(j2) - 1
+    half = np.arange(w2 % 2, w2 + 1, 2)
+    order = np.stack((w2 - half, w2 + half), axis=1).reshape(-1)[1 - w2 % 2:] // 2
+    shift, j2 = shift[order], 2 * j2[order]
     # The knot's exponents, turned into its keys in place below.
     knot_keys = np.stack((shift - j2, shift + j2), axis=1).reshape(-1)
-    offsets = rg * m * (m * p + 2)
 
     # Keys of offsets[i] + knot_keys[t] - lo, lo the least sum of the two;
     # an m with j = 0 copies no terms, but its offset still bounds the rest.
+    # The plan's offsets stay as they are for the child-by-child fallback.
     omin, kmin = int(offsets.min()), int(knot_keys.min())
-    offsets -= omin
+    offsets = offsets - omin
     knot_keys -= kmin
     g = int(np.gcd.reduce(np.concatenate((offsets, knot_keys)))) or 1
-    c = (2 * len(m) - 1).bit_length()
+    c = (2 * len(j) - 1).bit_length()
     top_key = (int(offsets.max()) + int(knot_keys.max())) // g << c | ((1 << c) - 1)
     kdtype = _key_dtype(top_key)
     if kdtype is None:
@@ -334,16 +349,15 @@ def _torus_knot_cable(knot: Cable, table, p: int, rg: int, reach: int) -> _Numer
     knot_keys = knot_keys.astype(kdtype)
     offsets //= g
     offsets <<= c
-    offsets += np.arange(0, 2 * len(m), 2)  # now each m's key base
+    offsets += np.arange(0, 2 * len(j), 2)  # now each m's key base
     ends = np.cumsum(sizes)
     keys = np.empty(int(ends[-1]), dtype=kdtype)
     for base, size, end in zip(offsets.tolist(), sizes.tolist(), ends.tolist()):
         np.add(knot_keys[:size], base, out=keys[end - size:end])
-    weights = np.empty(2 * len(m), dtype=_dtype(bound))
-    weights[1::2] = table.array
-    weights[1::2][j < 0] *= -1
-    np.negative(weights[1::2], out=weights[::2])
-    return _merge_packed(keys, c, weights, omin + kmin, g, bound)
+    pairs = np.empty(2 * len(j), dtype=_dtype(bound))
+    pairs[1::2] = weights
+    np.negative(pairs[1::2], out=pairs[::2])
+    return _merge_packed(keys, c, pairs, omin + kmin, g, bound)
 
 
 def _merge_packed(keys, bits: int, weights, lo: int, step: int, bound: int) -> _Numerator:

@@ -36,8 +36,8 @@ def random_expr(rng: random.Random, depth=2, max_components=3):
         child = random_expr(rng, depth - 1, max_components)
         return Twist(child, rng.randint(1, component_count(child)),
                      rng.randint(-3, 3))
-    left = random_expr(rng, depth - 1, 2)
-    right = random_expr(rng, depth - 1, 2)
+    left = random_expr(rng, depth - 1, min(2, max_components))
+    right = random_expr(rng, depth - 1, min(2, max_components))
     if component_count(left) + component_count(right) - 1 > max_components:
         return Twist(left, 1, rng.randint(-2, 2))
     return ConnSum(left, rng.randint(1, component_count(left)),

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -219,6 +220,15 @@ def test_round_trip_on_random_expressions(rng):
     for _ in range(100):
         e = random_expr(rng, depth=3)
         assert parse(to_text(e)) == e
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_random_expressions_keep_the_component_limit(limit):
+    # Seed 29 at depth 3 once drew 37 two-component links in 2000 trees at
+    # the limit 1, through a connected sum whose factors ignored it.
+    rng = random.Random(29)
+    counts = [component_count(random_expr(rng, 3, limit)) for _ in range(2000)]
+    assert max(counts) == limit
 
 
 class TestNestingDepth:

@@ -225,11 +225,7 @@ def packed_merges(monkeypatch, f, *args):
 def torus_knot_cable(e, block):
     """jones._torus_knot_cable for the cable e of a torus knot, whose block
     of colors is `block`."""
-    g = cable_gcd(e.r, e.s)
-    p, rg = e.s // g, e.r // g
-    table = trinomial_table(block)
-    w = table.width
-    return jones._torus_knot_cable(e.child, table, p, rg, abs(rg) * w * (w * p + 2))
+    return jones._torus_knot_cable(e.child, jones._cable_plan(e, block))
 
 
 ITERATED = "cable(2,13;1;cable(2,3;1;unknot))"
@@ -396,9 +392,8 @@ class TestMerge:
                      for _ in range(runs)]
             exps = np.concatenate(parts)
             self.merges(monkeypatch, exps, gen.integers(-5, 6, len(exps)), True)
-        table = trinomial_table((9,))
-        m = np.arange(-table.width, table.width + 1, 2)
-        self.merges(monkeypatch, *jones._unknot_cable(m, 3, -2, table.array), True)
+        table, j, offsets, _, _ = jones._cable_plan(parse("cable(-2,3;1;unknot)"), (9,))
+        self.merges(monkeypatch, *jones._unknot_cable(offsets, j, table.array), True)
 
     def test_duplicates_cancellation_and_one_term(self, monkeypatch):
         self.merges(monkeypatch, [-3, -3, 1, 1, 1, 5], [2, -2, 1, 1, -1, 7], True)

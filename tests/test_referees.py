@@ -11,9 +11,19 @@ has J'_N(A0) = q sum_{n<N} (q;q)_n (Zagier, "Vassiliev invariants and a
 strange identity related to the Dedekind eta-function", Topology 40, 2001).
 The sum is taken exactly, as integer columns modulo q^N - 1, so the check
 runs at any N, far past where the cabling sum's own oracles stop.
+
+Degrees: the highest and lowest degrees of J_N are quadratic
+quasi-polynomials in N (Garoufalidis, "The degree of a q-holonomic sequence
+is a quadratic quasi-polynomial"), so their second differences are
+periodic in N.  For a knot of positive framing f the highest degree gains
+2f per step of its second difference, and a cable of negative framing
+moves the quadratic growth to the lowest degree, at the rate 2 r s of its
+winding (Kalfagianni and Tran, "Knot cabling and the degree of the colored
+Jones polynomial").
 """
 
 import cmath
+import functools
 import random
 from fractions import Fraction
 from math import factorial
@@ -23,7 +33,7 @@ import pytest
 
 from cablejones import parse
 from cablejones.asympt import eval_normalized_at_root
-from cablejones.jones import colored_numerator
+from cablejones.jones import _statistics, colored_numerator
 from cablejones.linkexpr import Cable, Twist, Unknot, component_count, mirror_expr
 
 from conftest import random_expr
@@ -208,3 +218,53 @@ class TestMelvinMortonRozansky:
         assert top_diagonal(mirrored, 1040, MMR_ORDER) is None
         f, _ = framing_and_alexander(mirrored, MMR_ORDER)
         assert top_diagonal(mirrored, f, MMR_ORDER) != inverse_alexander(e, MMR_ORDER)
+
+
+# (family, largest N): from N = 5 the second differences of J_N's degrees
+# repeat with period at most 2.
+DEGREE_FAMILIES = (
+    ("cable(2,3;1;unknot)", 40),
+    ("cable(2,4;1;unknot)", 40),
+    (ITERATED_TEXT, 40),
+    ("cable(2,5;1;cable(2,3;1;cable(2,3;1;unknot)))", 24),
+    ("cable(4,6;1;cable(2,3;1;unknot))", 40),
+    ("connsum(cable(2,3;1;unknot),1;cable(-2,5;1;unknot),1)", 40),
+    ("cable(-13,2;1;cable(2,3;1;unknot))", 40),
+    ("cable(-5,2;1;cable(2,3;1;unknot))", 40),
+    ("cable(-3,2;1;cable(2,5;1;unknot))", 40),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def second_differences(text: str, top: int) -> np.ndarray:
+    """Rows N = 5 .. top - 2 of the second differences of (maxdeg, mindeg)
+    of J_N, every component colored N."""
+    e = parse(text)
+    degrees = [_statistics(colored_numerator(e, (n,) * component_count(e)))[:2]
+               for n in range(5, top + 1)]
+    return np.diff(np.array(degrees), 2, axis=0)
+
+
+class TestDegreesAreQuasiPolynomials:
+    @pytest.mark.parametrize("text, top", DEGREE_FAMILIES)
+    def test_period_at_most_two(self, text, top):
+        d2 = second_differences(text, top)
+        assert (d2[2:] == d2[:-2]).all(), d2.tolist()
+
+    def test_positive_framing_sets_the_top_degree(self):
+        doubled = []
+        for text, top in DEGREE_FAMILIES:
+            e = parse(text)
+            f = framing_and_alexander(e, 0)[0] if component_count(e) == 1 else 0
+            if f > 0:
+                assert (second_differences(text, top)[:, 0] == 2 * f).all(), text
+                doubled.append(2 * f)
+        assert doubled == [12, 2080, 3020, 28, 68]
+
+    def test_negative_framing_moves_to_the_bottom_degree(self):
+        text = "cable(-13,2;1;cable(2,3;1;unknot))"
+        e = parse(text)
+        assert framing_and_alexander(e, 0)[0] == -2
+        d2 = second_differences(text, 40)
+        assert (d2[:, 0] == 0).all()
+        assert (d2[:, 1] == 2 * e.r * e.s).all() and 2 * e.r * e.s == -52
