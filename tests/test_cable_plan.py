@@ -20,7 +20,7 @@ from test_numerator import referee, same
 
 def random_chain(rng: random.Random):
     """A knot: 1-4 cables with gcd(r, s) = 1, s <= 3 and |r| <= 5, and a
-    framing twist under about a third of them."""
+    framing twist under about a third of the cables above the first."""
     e = Unknot()
     for _ in range(rng.randint(1, 4)):
         s = rng.randint(1, 3)
